@@ -3,7 +3,7 @@
 // paths, measures the rewritten ChainSweeper against the pre-rewrite
 // reference kernel, then the serving layers on top — the batch and routing
 // series run through serving::Engine (the production front door), with a
-// paired direct-HybridEstimator batch series isolating the facade's
+// paired sequential direct-HybridEstimator series isolating the facade's
 // overhead — and writes the BENCH_chain.json perf record at the path given
 // by argv[1] (default: ./BENCH_chain.json). See bench/README.md for the
 // schema.
@@ -33,11 +33,17 @@ namespace pcde {
 namespace bench {
 namespace {
 
+/// One workload query: an explicit path and its departure time.
+struct Query {
+  roadnet::Path path;
+  double departure_time = 0.0;
+};
+
 struct Workload {
   std::unique_ptr<BenchDataset> data;
   std::unique_ptr<core::PathWeightFunction> wp;
   std::vector<core::Decomposition> decompositions;
-  std::vector<core::PathQuery> queries;
+  std::vector<Query> queries;
   core::InstantiationStats build_stats;
 
   Workload() {
@@ -64,7 +70,7 @@ struct Workload {
           const core::HybridEstimator estimator(*wp, options);
           auto de = estimator.Decompose(p.value(), depart);
           if (!de.ok()) continue;
-          queries.push_back(core::PathQuery{p.value(), depart});
+          queries.push_back(Query{p.value(), depart});
           decompositions.push_back(std::move(de).value());
         }
       }
@@ -242,7 +248,6 @@ int main(int argc, char** argv) {
   }
   const ScopedFileRemover serving_cleanup(serving_artifact);
   auto open_engine = [&](size_t threads, size_t cache_bytes,
-                         size_t prefix_bytes,
                          routing::PruningOptions route_pruning =
                              routing::PruningOptions())
       -> std::unique_ptr<serving::Engine> {
@@ -251,7 +256,6 @@ int main(int argc, char** argv) {
     options.graph = w.data->data.graph.get();
     options.num_threads = threads;
     options.query_cache_bytes = cache_bytes;
-    options.prefix_cache_bytes = prefix_bytes;
     options.route_max_expansions = 150000;
     options.route_max_path_edges = 24;
     options.route_pruning = route_pruning;
@@ -266,12 +270,12 @@ int main(int argc, char** argv) {
 
   // The batch layer over the same queries (end-to-end per query, so
   // request resolution + OI + JC + MC + summary, amortized across the
-  // pool), served through the Engine, one series per worker count.
-  // ops_per_sec is wall-clock batch throughput; p50/p99 are the per-query
-  // latencies BatchMetrics records inside the fan-out.
+  // pool), served through the Engine, one series per pool size.
+  // ops_per_sec is wall-clock batch throughput; p50/p99 are the responses'
+  // serve_seconds, recorded per request inside the fan-out.
   std::vector<serving::EstimateRequest> requests;
   requests.reserve(w.queries.size());
-  for (const core::PathQuery& q : w.queries) {
+  for (const Query& q : w.queries) {
     serving::EstimateRequest request;
     request.path = serving::PathSpec::ExplicitPath(q.path);
     request.departure_time = q.departure_time;
@@ -322,44 +326,45 @@ int main(int argc, char** argv) {
     }
     return true;
   };
+  // The direct side of the facade-overhead pair: the same queries through
+  // a plain sequential HybridEstimator loop on this thread, each timed
+  // like a batch response's serve_seconds.
   auto direct_batch_once = [&](const core::HybridEstimator& estimator,
-                               ThreadPool* pool, BatchRun* run) -> bool {
-    Stopwatch watch;
-    core::BatchMetrics metrics;
-    auto results = estimator.EstimateBatch(w.queries.data(),
-                                           w.queries.size(), pool, &metrics);
-    run->wall_seconds += watch.ElapsedSeconds();
-    run->total += results.size();
-    for (const auto& result : results) {
+                               BatchRun* run) -> bool {
+    Stopwatch wall;
+    for (const Query& q : w.queries) {
+      Stopwatch watch;
+      auto result = estimator.EstimateCostDistribution(q.path,
+                                                       q.departure_time);
+      run->latencies.push_back(watch.ElapsedSeconds());
       if (!result.ok()) {
-        std::fprintf(stderr, "direct batch query failed: %s\n",
+        std::fprintf(stderr, "direct query failed: %s\n",
                      result.status().ToString().c_str());
         return false;
       }
     }
-    run->latencies.insert(run->latencies.end(), metrics.query_seconds.begin(),
-                          metrics.query_seconds.end());
+    run->wall_seconds += wall.ElapsedSeconds();
+    run->total += w.queries.size();
     return true;
   };
 
-  // Facade-overhead pair at one worker: the Engine batch and the direct
-  // HybridEstimator batch over the same queries and pool size, interleaved
-  // back to back with alternating order (the MeasurePaired discipline) so
-  // the engine-vs-direct ratio is stable on noisy shared machines.
+  // Facade-overhead pair on one thread: the Engine batch on a 1-thread
+  // pool (every request on the caller) and the direct sequential loop over
+  // the same queries, interleaved back to back with alternating order (the
+  // MeasurePaired discipline) so the engine-vs-direct ratio is stable on
+  // noisy shared machines.
   {
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     core::HybridEstimator direct(*w.wp);
-    ThreadPool direct_pool(1);
     BatchRun engine_run, direct_run;
     const int paired_reps = std::max(2, batch_reps);
     for (int r = 0; r < paired_reps; ++r) {
       const bool ok =
           r % 2 == 0
               ? engine_batch_once(*engine, &engine_run) &&
-                    direct_batch_once(direct, &direct_pool, &direct_run)
-              : direct_batch_once(direct, &direct_pool, &direct_run) &&
+                    direct_batch_once(direct, &direct_run)
+              : direct_batch_once(direct, &direct_run) &&
                     engine_batch_once(*engine, &engine_run);
       if (!ok) return 1;
     }
@@ -367,7 +372,7 @@ int main(int argc, char** argv) {
     series.push_back(direct_run.Finish("estimate_batch_direct_threads_1"));
   }
   for (size_t threads : {2, 4, 8}) {
-    auto engine = open_engine(threads, /*cache_bytes=*/0, /*prefix_bytes=*/0);
+    auto engine = open_engine(threads, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     BatchRun run;
     for (int r = 0; r < batch_reps; ++r) {
@@ -380,8 +385,7 @@ int main(int argc, char** argv) {
     // The cached serving path: repeated batches against the engine's query
     // cache (reps > 1 turns every repeat into hits).
     auto engine = open_engine(/*threads=*/4,
-                              /*cache_bytes=*/size_t{64} << 20,
-                              /*prefix_bytes=*/0);
+                              /*cache_bytes=*/size_t{64} << 20);
     if (engine == nullptr) return 1;
     BatchRun run;
     for (int r = 0; r < std::max(2, batch_reps); ++r) {
@@ -392,11 +396,10 @@ int main(int argc, char** argv) {
 
   // Routing series: the DFS stochastic router over OD pairs drawn from the
   // workload paths (12-edge windows at several offsets into each 20-edge
-  // path, so the OD set mixes roots and regions), measured plain, with
-  // prefix chain-state reuse (core/prefix_state_cache.h), and with the
-  // full pruning arsenal (routing/pruning.h). Reuse must return the same
-  // routes bit for bit; the pruned search must match the plain on-time
-  // probability exactly — either divergence aborts the bench.
+  // path, so the OD set mixes roots and regions), measured plain and with
+  // the full pruning arsenal (routing/pruning.h). The pruned search must
+  // match the plain on-time probability exactly — a divergence aborts the
+  // bench.
   {
     const roadnet::Graph& graph = *w.data->data.graph;
     struct RouteCase {
@@ -404,7 +407,7 @@ int main(int argc, char** argv) {
       double budget;
     };
     std::vector<RouteCase> cases;
-    for (const core::PathQuery& q : w.queries) {
+    for (const Query& q : w.queries) {
       if (q.path.size() != 20) continue;  // shortest cardinality: bounded DFS
       for (const size_t offset : {size_t{0}, size_t{4}, size_t{8}}) {
         const size_t span = 12;
@@ -428,26 +431,22 @@ int main(int argc, char** argv) {
     }
     if (cases.empty()) {
       // An empty case set would emit zero-iteration routing series and
-      // make the reuse-vs-plain identity check vacuous.
+      // make the pruned-vs-plain parity check vacuous.
       std::fprintf(stderr, "no routing cases in the workload; aborting\n");
       return 1;
     }
-    // Three configurations route through the Engine (single worker so the
-    // DFS itself is measured — Engine threads=1 keeps the root fan-out
-    // sequential): plain, per-branch prefix reuse, and the pruned search
-    // (incumbent + dominance + cheap-first, routing/pruning.h).
-    auto plain_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                    /*prefix_bytes=*/0);
-    auto reuse_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                    /*prefix_bytes=*/size_t{4} << 20);
+    // Two configurations route through the Engine (one pool thread, so the
+    // DFS runs sequentially on the caller and the search itself is
+    // measured): plain, and the pruned search (incumbent + dominance +
+    // cheap-first, routing/pruning.h).
+    auto plain_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     routing::PruningOptions all_pruners;
     all_pruners.incumbent = true;
     all_pruners.dominance = true;
     all_pruners.cheap_first = true;
-    auto pruned_engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                                     /*prefix_bytes=*/0, all_pruners);
-    if (plain_engine == nullptr || reuse_engine == nullptr ||
-        pruned_engine == nullptr) {
+    auto pruned_engine =
+        open_engine(/*threads=*/1, /*cache_bytes=*/0, all_pruners);
+    if (plain_engine == nullptr || pruned_engine == nullptr) {
       return 1;
     }
     const double depart = traj::HoursToSeconds(8.2);
@@ -490,10 +489,9 @@ int main(int argc, char** argv) {
     // Interleaved back to back per (rep, case) with rotating order, the
     // MeasurePaired discipline: shared-machine noise cancels out of the
     // series-vs-series comparisons instead of landing on one series.
-    std::vector<RouteOutcome> plain, reused, pruned;
-    std::vector<double> plain_lat, reuse_lat, pruned_lat;
+    std::vector<RouteOutcome> plain, pruned;
+    std::vector<double> plain_lat, pruned_lat;
     plain_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
-    reuse_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
     pruned_lat.reserve(cases.size() * static_cast<size_t>(route_reps));
     auto route_once = [&](const serving::Engine& engine, const RouteCase& c,
                           std::vector<double>* latencies,
@@ -518,34 +516,23 @@ int main(int argc, char** argv) {
       std::vector<double>* latencies;
       std::vector<RouteOutcome>* outcomes;
     };
-    const Contender contenders[3] = {
+    const Contender contenders[2] = {
         {plain_engine.get(), &plain_lat, &plain},
-        {reuse_engine.get(), &reuse_lat, &reused},
         {pruned_engine.get(), &pruned_lat, &pruned},
     };
     for (int r = 0; r < route_reps; ++r) {
       for (size_t i = 0; i < cases.size(); ++i) {
         const RouteCase& c = cases[i];
         const bool record = r == 0;
-        const size_t first = (static_cast<size_t>(r) + i) % 3;
-        for (size_t k = 0; k < 3; ++k) {
-          const Contender& t = contenders[(first + k) % 3];
+        const size_t first = (static_cast<size_t>(r) + i) % 2;
+        for (size_t k = 0; k < 2; ++k) {
+          const Contender& t = contenders[(first + k) % 2];
           route_once(*t.engine, c, t.latencies, t.outcomes, record);
         }
       }
     }
     series.push_back(
         KernelSeries::FromLatencies("route_dfs", std::move(plain_lat), 0));
-    KernelSeries reuse_series = KernelSeries::FromLatencies(
-        "route_dfs_prefix_reuse", std::move(reuse_lat), 0);
-    // The reuse series' cache columns carry the prefix-state traffic of
-    // the recorded routes (first rep per case).
-    for (const RouteOutcome& o : reused) {
-      if (!o.ok) continue;
-      reuse_series.cache_hits += o.response.prefix_cache_hits;
-      reuse_series.cache_misses += o.response.prefix_cache_misses;
-    }
-    series.push_back(std::move(reuse_series));
     KernelSeries pruned_series = KernelSeries::FromLatencies(
         "route_dfs_pruned", std::move(pruned_lat), 0);
     // Per-pruner attribution of the recorded routes.
@@ -558,21 +545,9 @@ int main(int argc, char** argv) {
     }
     series.push_back(std::move(pruned_series));
     for (size_t i = 0; i < plain.size(); ++i) {
-      // Prefix reuse is bit-identical (probability and path); the pruned
-      // search guarantees the exact probability, while cheap-first
-      // expansion ordering may resolve an exact probability tie to a
-      // different equally-good path.
-      const bool reuse_same =
-          plain[i].ok == reused[i].ok &&
-          (!plain[i].ok ||
-           (plain[i].response.on_time_probability ==
-                reused[i].response.on_time_probability &&
-            plain[i].response.best_path == reused[i].response.best_path));
-      if (!reuse_same) {
-        std::fprintf(stderr,
-                     "routing with prefix reuse diverged on case %zu\n", i);
-        return 1;
-      }
+      // The pruned search guarantees the exact probability, while
+      // cheap-first expansion ordering may resolve an exact probability
+      // tie to a different equally-good path.
       const bool pruned_same =
           plain[i].ok == pruned[i].ok &&
           (!plain[i].ok || plain[i].response.on_time_probability ==
@@ -614,8 +589,7 @@ int main(int argc, char** argv) {
     // read + validation + epoch wiring + atomic publish. This is the
     // refresh path's full cost; requests never wait on it (they pin the
     // old epoch), so it is a throughput tax, not a latency cliff.
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     std::vector<double> swap_lat;
     const int swap_reps = std::max(8, reps);
@@ -689,8 +663,7 @@ int main(int argc, char** argv) {
         !stamp_probes(serving_artifact, &verified_serving.probes)) {
       return 1;
     }
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     std::vector<double> swap_lat;
     const int swap_reps = std::max(8, reps);
@@ -719,8 +692,7 @@ int main(int argc, char** argv) {
     // cost of continuous refresh (epoch loads + old-epoch teardown on the
     // same box); every response must still succeed — zero-downtime means
     // the swap churn is never visible as an error.
-    auto engine = open_engine(/*threads=*/2, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/2, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     // Enough batches that several epochs publish inside the measured
     // window (a swap costs ~swap_publish p50, so two batches would see
@@ -773,8 +745,8 @@ int main(int argc, char** argv) {
   // convolution — and the bench aborts unless every response reports
   // exactly the expected provenance.
   {
-    const core::PathQuery* sparse_query = nullptr;
-    for (const core::PathQuery& q : w.queries) {
+    const Query* sparse_query = nullptr;
+    for (const Query& q : w.queries) {
       if (q.path.size() == 20) {
         sparse_query = &q;
         break;
@@ -863,12 +835,11 @@ int main(int argc, char** argv) {
   // implementation would overshoot by the full remaining estimate);
   // scripts/ci.sh gates p50 overshoot < 0.5x the unconstrained p50.
   {
-    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                              /*prefix_bytes=*/0);
+    auto engine = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (engine == nullptr) return 1;
     // The slowest query: longest path served through the engine.
-    const core::PathQuery* slow = &w.queries.front();
-    for (const core::PathQuery& q : w.queries) {
+    const Query* slow = &w.queries.front();
+    for (const Query& q : w.queries) {
       if (q.path.size() > slow->path.size()) slow = &q;
     }
     serving::EstimateRequest request;
@@ -1067,8 +1038,7 @@ int main(int argc, char** argv) {
     }
     const std::unique_ptr<serving::ShardedEngine> sharded =
         std::move(opened).value();
-    auto mono = open_engine(/*threads=*/1, /*cache_bytes=*/0,
-                            /*prefix_bytes=*/0);
+    auto mono = open_engine(/*threads=*/1, /*cache_bytes=*/0);
     if (mono == nullptr) return 1;
 
     // Single-shard-hit requests: each workload path's maximal prefix whose
@@ -1076,7 +1046,7 @@ int main(int argc, char** argv) {
     // set is never empty). Cross-shard requests: the full paths that span
     // both shards.
     std::vector<serving::EstimateRequest> single_hit, cross;
-    for (const core::PathQuery& q : w.queries) {
+    for (const Query& q : w.queries) {
       const size_t owner = manifest.ShardOf(q.path[0]);
       size_t prefix = 1;
       while (prefix < q.path.size() &&

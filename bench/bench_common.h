@@ -193,9 +193,9 @@ inline std::string Mb(size_t bytes) {
 
 /// Latency/throughput summary of one measured kernel configuration.
 /// For batch series, ops_per_sec is wall-clock batch throughput while
-/// p50_ms/p99_ms are per-query latencies inside the batch (recorded via
-/// core::BatchMetrics), and the cache_* fields carry the series' query-
-/// cache traffic (all zero when no cache is attached).
+/// p50_ms/p99_ms are per-query latencies inside the batch (each response's
+/// serve_seconds), and the cache_* fields carry the series' query-cache
+/// traffic (all zero when no cache is attached).
 struct KernelSeries {
   std::string name;        // e.g. "chain_sweep", "chain_sweep_reference"
   size_t iterations = 0;   // estimations measured

@@ -3,9 +3,13 @@
 // (google-benchmark; one timing series per method and cardinality).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "bench/bench_common.h"
+#include "common/scoped_file.h"
+#include "core/serialization.h"
+#include "serving/engine.h"
 
 namespace pcde {
 namespace bench {
@@ -53,23 +57,25 @@ void EstimateLoop(benchmark::State& bench_state,
 }
 
 /// The serving-layer shape: all queries of one cardinality issued as one
-/// concurrent batch on a shared pool (items/sec is the per-query rate).
+/// Engine::EstimateBatch on the engine's pool (items/sec is the per-query
+/// rate).
 void BatchEstimateLoop(benchmark::State& bench_state,
-                       const core::HybridEstimator& estimator, size_t card,
-                       ThreadPool* pool) {
+                       const serving::Engine& engine, size_t card) {
   const auto& paths = state->queries[card];
-  std::vector<core::PathQuery> queries;
-  queries.reserve(paths.size());
+  std::vector<serving::EstimateRequest> requests;
+  requests.reserve(paths.size());
   for (const auto& p : paths) {
-    queries.push_back(core::PathQuery{p, state->depart});
+    serving::EstimateRequest request;
+    request.path = serving::PathSpec::ExplicitPath(p);
+    request.departure_time = state->depart;
+    requests.push_back(std::move(request));
   }
   for (auto _ : bench_state) {
-    auto results = estimator.EstimateBatch(queries.data(), queries.size(),
-                                           pool);
-    benchmark::DoNotOptimize(results);
+    auto responses = engine.EstimateBatch(requests);
+    benchmark::DoNotOptimize(responses);
   }
   bench_state.SetItemsProcessed(
-      static_cast<int64_t>(bench_state.iterations() * queries.size()));
+      static_cast<int64_t>(bench_state.iterations() * requests.size()));
 }
 
 }  // namespace
@@ -109,14 +115,31 @@ int main(int argc, char** argv) {
     bench->Unit(benchmark::kMillisecond);
   }
 
-  // OD through the parallel batch layer (the multi-user serving path).
-  ThreadPool* pool = new ThreadPool(0);
-  const core::HybridEstimator* od_batch =
-      new core::HybridEstimator(baselines::MakeOd(*state->wp));
+  // OD through the parallel batch layer (the multi-user serving path):
+  // an Engine over the saved model with OD options, one pool thread per
+  // hardware thread, and no query cache, so every request is estimated.
+  const std::string artifact = MakeTempArtifactPath("pcde_fig16_model");
+  const ScopedFileRemover artifact_cleanup(artifact);
+  if (!core::SaveWeightFunctionBinary(*state->wp, artifact).ok()) {
+    std::fprintf(stderr, "failed to save the OD-batch model artifact\n");
+    return 1;
+  }
+  serving::EngineOptions engine_options;
+  engine_options.model_path = artifact;
+  engine_options.estimate = baselines::MakeOd(*state->wp).options();
+  engine_options.num_threads = 0;
+  engine_options.query_cache_bytes = 0;
+  auto opened = serving::Engine::Open(std::move(engine_options));
+  if (!opened.ok()) {
+    std::fprintf(stderr, "Engine::Open failed: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
+  }
+  const serving::Engine* od_batch = opened.value().release();
   auto* batch_bench = benchmark::RegisterBenchmark(
-      "OD-batch", [od_batch, pool](benchmark::State& s) {
+      "OD-batch", [od_batch](benchmark::State& s) {
         pcde::bench::BatchEstimateLoop(s, *od_batch,
-                                       static_cast<size_t>(s.range(0)), pool);
+                                       static_cast<size_t>(s.range(0)));
       });
   for (size_t card : {20, 40, 60, 80, 100}) {
     batch_bench->Arg(static_cast<int>(card));

@@ -58,6 +58,8 @@ void Run(const char* name, const BenchDataset& ds) {
   methods[2].name = "OD";
   methods[2].options.policy = core::DecompositionPolicy::kCoarsest;
 
+  // No pool: each search runs sequentially on this thread, as the
+  // paper's DFS does.
   routing::RouterConfig router_config;
   router_config.max_expansions = 15000;
 

@@ -7,7 +7,7 @@
 # estimate_batch_direct_threads_1 (engine_batch_vs_direct is the facade
 # overhead gate), the cached batch series estimate_batch_cached_threads_4
 # with its query-cache hit counts, the Engine::Route series
-# route_dfs{,_prefix_reuse}, the sharded serving series
+# route_dfs{,_pruned}, the sharded serving series
 # sharded_estimate{,_mono,_cross} with the sharded_vs_mono routing-overhead
 # ratio and per-shard resident footprint headlines, and the model series
 # (offline build seconds, per-format save/load seconds and artifact bytes,

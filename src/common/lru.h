@@ -1,9 +1,8 @@
-// Single-shard, byte-budgeted LRU map — the shared eviction/recency/
-// accounting core of the serving caches. core::QueryCache instantiates one
-// per shard (under the shard mutex) and core::PrefixStateCache instantiates
-// one directly; both used to hand-roll the same list+map machinery.
+// Single-shard, byte-budgeted LRU map — the eviction/recency/accounting
+// core of the serving caches. core::QueryCache instantiates one per shard
+// (under the shard mutex).
 //
-// Semantics (pinned by tests/query_cache_test and prefix_state_cache_test):
+// Semantics (pinned by tests/lru_test and tests/query_cache_test):
 //   * Find refreshes recency and returns a pointer into the cache, valid
 //     until the next mutating call.
 //   * Insert on a present key only refreshes recency — entries are
@@ -13,8 +12,7 @@
 //   * After an admission, least-recently-used entries are evicted until the
 //     byte total fits the budget again (the newest entry itself survives).
 //
-// Not thread-safe; callers own locking (QueryCache) or are single-threaded
-// by design (PrefixStateCache).
+// Not thread-safe; callers own locking (QueryCache).
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,10 @@
-// A small work-stealing thread pool for the batch estimation layer and the
-// routing root fan-out. Each worker owns a deque: it pushes and pops its
-// own work LIFO (cache-warm) and steals FIFO from victims when dry, so a
-// few large tasks spread across workers without a central contended queue.
-// Tasks must not throw (the codebase is Status-based); a task may submit
-// further tasks (they count toward the same Wait() quiescence).
+// A small fork-join thread pool for serving::Engine's batch fan-out and the
+// routing root fan-out. ParallelFor is the only entry point: the calling
+// thread runs items of its own call, up to num_threads() - 1 workers join
+// it, and a caller never runs another call's items — so concurrent callers
+// sharing one pool cannot stall each other. Items must not throw (the
+// codebase is Status-based); an item may itself call ParallelFor on the
+// same pool.
 #pragma once
 
 #include <algorithm>
@@ -11,10 +12,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel_token.h"
@@ -23,16 +24,18 @@ namespace pcde {
 
 class ThreadPool {
  public:
-  /// `num_threads` = 0 picks the hardware concurrency (at least 1).
+  /// `num_threads` counts the calling thread: ThreadPool(n) starts n - 1
+  /// workers, so ThreadPool(1) runs every item on the caller. 0 picks the
+  /// hardware concurrency (at least 1).
   explicit ThreadPool(size_t num_threads = 0) {
     size_t n = num_threads != 0 ? num_threads
                                 : static_cast<size_t>(
                                       std::thread::hardware_concurrency());
     if (n == 0) n = 1;
-    queues_ = std::vector<WorkerQueue>(n);
-    workers_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+    num_threads_ = n;
+    workers_.reserve(n - 1);
+    for (size_t i = 1; i < n; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
 
@@ -40,7 +43,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   ~ThreadPool() {
-    Wait();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       stopping_ = true;
@@ -49,225 +51,108 @@ class ThreadPool {
     for (std::thread& t : workers_) t.join();
   }
 
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return num_threads_; }
 
-  /// Enqueues one task. Called from inside a task, it lands on the calling
-  /// worker's own deque (depth-first, cache-warm); from outside, tasks are
-  /// scattered round-robin.
-  void Submit(std::function<void()> fn) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    const size_t home =
-        worker_pool_ == this
-            ? worker_index_
-            : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                  queues_.size();
-    {
-      std::lock_guard<std::mutex> lock(queues_[home].mutex);
-      queues_[home].tasks.push_back(std::move(fn));
-    }
-    {
-      // The epoch under the sleep mutex is what makes the wakeup
-      // race-free: a worker that failed to steal after reading the epoch
-      // sees it changed and re-scans instead of sleeping through the
-      // notification.
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++epoch_;
-    }
-    wake_.notify_one();
-  }
-
-  /// Blocks until every submitted task (including tasks submitted by
-  /// tasks) has finished. The calling thread helps drain the queues.
-  void Wait() {
-    while (pending_.load(std::memory_order_acquire) != 0) {
-      uint64_t seen;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        seen = epoch_;
-      }
-      std::function<void()> task;
-      if (Steal(queues_.size(), &task)) {
-        RunTask(std::move(task));
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      idle_.wait(lock, [this, seen] {
-        return pending_.load(std::memory_order_acquire) == 0 ||
-               epoch_ != seen;
-      });
-    }
-  }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion
-  /// of THIS call's items only — not global pool quiescence — so
-  /// concurrent ParallelFor callers sharing one pool (serving::Engine
-  /// batches and Route fan-outs from multiple client threads) return as
-  /// soon as their own group finishes, instead of blocking on each
-  /// other's work. The calling thread helps drain the queues while it
-  /// waits, so it may finish at most one unrelated stolen task after its
-  /// group completes. (fn must not Submit follow-up tasks it needs
-  /// awaited — use Wait() for that.)
-  ///
-  /// One pull-task per worker shares an atomic cursor instead of one
-  /// Submit per item: per-item submission pays a queue lock, an epoch
-  /// bump under the global mutex, and a wakeup for every element, which
-  /// serializes batches of sub-millisecond items (the measured
-  /// batch-scaling collapse); one relaxed fetch_add per item does not.
+  /// Runs fn(i) for i in [0, n) and returns once every item has finished.
+  /// One call's items run on at most num_threads() threads at once: the
+  /// caller plus the workers that join it while items remain. Items are
+  /// claimed through one atomic cursor, so a call costs one queue push and
+  /// one wakeup, not one per item.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn) {
     ParallelFor(n, std::forward<Fn>(fn), nullptr);
   }
 
-  /// Cancellable variant: once `cancel` trips, remaining items are DRAINED,
-  /// not run — the pull-tasks keep claiming cursor indices and counting
-  /// them done without invoking fn, so the group's done-accounting reaches
-  /// n and the call returns promptly with no counter left pinned. Items
-  /// already started still finish (cancellation is cooperative); the caller
-  /// decides per item whether it ran (e.g. by writing a result slot in fn).
+  /// Cancellable variant: once `cancel` trips, the remaining items are
+  /// drained, not run, and the call returns as soon as the items already
+  /// started finish (cancellation is cooperative); the caller decides per
+  /// item whether it ran (e.g. by writing a result slot in fn).
   /// `cancel == nullptr` is exactly the plain overload. n == 0 returns
-  /// immediately and touches nothing — the shed-before-submit path.
+  /// immediately and touches nothing; n == 1 runs inline.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn, const CancelToken* cancel) {
     if (n == 0) return;
-    if (n == 1) {
-      if (!CancelToken::Check(cancel)) fn(0);
+    if (n == 1 || workers_.empty()) {
+      for (size_t i = 0; i < n && !CancelToken::Check(cancel); ++i) fn(i);
       return;
     }
-    // Shared, not captured by value: the state must outlive this frame
-    // only until the group wait returns, but each task needs the same
-    // counters.
-    struct Group {
-      std::atomic<size_t> cursor{0};
-      std::atomic<size_t> done{0};
-    };
-    auto group = std::make_shared<Group>();
-    const size_t tasks = std::min(n, num_threads());
-    for (size_t t = 0; t < tasks; ++t) {
-      Submit([this, fn, group, n, cancel] {
-        size_t completed = 0;
-        for (size_t i = group->cursor.fetch_add(1, std::memory_order_relaxed);
-             i < n;
-             i = group->cursor.fetch_add(1, std::memory_order_relaxed)) {
-          // A tripped token drains the index instead of running it; the
-          // claim/done accounting is identical either way.
-          if (!CancelToken::Check(cancel)) fn(i);
-          ++completed;
-        }
-        if (completed == 0) return;
-        // Exactly one adder crosses the total to n (the adds sum to n):
-        // it wakes callers parked in the group wait below, which sleep on
-        // idle_ like Wait()-ers.
-        if (group->done.fetch_add(completed, std::memory_order_acq_rel) +
-                completed ==
-            n) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          idle_.notify_all();
-        }
-      });
+    using Callable = std::remove_reference_t<Fn>;
+    Group group;
+    group.fn = const_cast<void*>(
+        static_cast<const void*>(std::addressof(fn)));
+    group.run = [](void* f, size_t i) { (*static_cast<Callable*>(f))(i); };
+    group.n = n;
+    group.cancel = cancel;
+    // Read only through this copy once the group is queued: joining
+    // workers decrement open_slots under mutex_.
+    const size_t helpers_wanted = std::min(n, num_threads_) - 1;
+    group.open_slots = helpers_wanted;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(&group);
     }
-    // Group wait: the Wait() loop, with "my items are done" as the exit
-    // condition instead of "the whole pool is idle".
-    while (group->done.load(std::memory_order_acquire) < n) {
-      uint64_t seen;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        seen = epoch_;
-      }
-      std::function<void()> task;
-      if (Steal(queues_.size(), &task)) {
-        RunTask(std::move(task));
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      idle_.wait(lock, [this, &group, n, seen] {
-        return group->done.load(std::memory_order_acquire) >= n ||
-               epoch_ != seen ||
-               pending_.load(std::memory_order_acquire) == 0;
-      });
+    if (helpers_wanted == 1) {
+      wake_.notify_one();
+    } else {
+      wake_.notify_all();
     }
+    RunItems(&group);
+    // Every item is claimed (or drained): close the group to new helpers,
+    // then wait out the ones still finishing an item. The group lives on
+    // this frame, so no helper may touch it after the wait returns.
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (group.open_slots > 0) {
+      open_.erase(std::find(open_.begin(), open_.end(), &group));
+    }
+    group.done.wait(lock, [&group] { return group.helpers == 0; });
   }
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-
-    WorkerQueue() = default;
-    WorkerQueue(const WorkerQueue&) {}  // vector-resize support; empty copy
+  /// One in-flight ParallelFor call, owned by the caller's frame.
+  struct Group {
+    void (*run)(void* fn, size_t i) = nullptr;
+    void* fn = nullptr;
+    size_t n = 0;
+    const CancelToken* cancel = nullptr;
+    std::atomic<size_t> cursor{0};
+    // Guarded by mutex_: helpers that may still join (the group is queued
+    // in open_ exactly while this is nonzero), helpers inside RunItems,
+    // and the caller's wait for the latter to reach zero.
+    size_t open_slots = 0;
+    size_t helpers = 0;
+    std::condition_variable done;
   };
 
-  void RunTask(std::function<void()>&& task) {
-    task();
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      idle_.notify_all();
+  static void RunItems(Group* group) {
+    for (size_t i = group->cursor.fetch_add(1, std::memory_order_relaxed);
+         i < group->n;
+         i = group->cursor.fetch_add(1, std::memory_order_relaxed)) {
+      if (CancelToken::Check(group->cancel)) return;
+      group->run(group->fn, i);
     }
   }
 
-  /// The epoch under mutex_ at this instant; workers read it before
-  /// scanning queues so a concurrent Submit cannot slip between a failed
-  /// scan and the wait.
-  uint64_t CurrentEpoch() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return epoch_;
-  }
-
-  /// Pops own back first (me < queues_.size()), then steals victims' fronts.
-  bool Steal(size_t me, std::function<void()>* out) {
-    const size_t n = queues_.size();
-    if (me < n) {
-      std::lock_guard<std::mutex> lock(queues_[me].mutex);
-      if (!queues_[me].tasks.empty()) {
-        *out = std::move(queues_[me].tasks.back());
-        queues_[me].tasks.pop_back();
-        return true;
-      }
-    }
-    for (size_t k = 0; k < n; ++k) {
-      const size_t victim = (me + 1 + k) % n;
-      std::lock_guard<std::mutex> lock(queues_[victim].mutex);
-      if (!queues_[victim].tasks.empty()) {
-        *out = std::move(queues_[victim].tasks.front());
-        queues_[victim].tasks.pop_front();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void WorkerLoop(size_t index) {
-    worker_pool_ = this;
-    worker_index_ = index;
+  void WorkerLoop() {
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      const uint64_t seen = CurrentEpoch();
-      std::function<void()> task;
-      if (Steal(index, &task)) {
-        RunTask(std::move(task));
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this, seen] { return stopping_ || epoch_ != seen; });
+      wake_.wait(lock, [this] { return stopping_ || !open_.empty(); });
       if (stopping_) return;
+      Group* group = open_.front();
+      if (--group->open_slots == 0) open_.pop_front();
+      ++group->helpers;
+      lock.unlock();
+      RunItems(group);
+      lock.lock();
+      if (--group->helpers == 0) group->done.notify_one();
     }
   }
 
-  /// Which pool (and worker slot) the current thread belongs to; external
-  /// threads, and workers of *other* pools, scatter round-robin instead.
-  static thread_local ThreadPool* worker_pool_;
-  static thread_local size_t worker_index_;
-
-  std::vector<WorkerQueue> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> next_queue_{0};
+  size_t num_threads_ = 1;
   std::mutex mutex_;
   std::condition_variable wake_;
-  std::condition_variable idle_;
-  uint64_t epoch_ = 0;  // guarded by mutex_; bumped per Submit
-  bool stopping_ = false;
+  std::deque<Group*> open_;  // guarded by mutex_: calls taking helpers
+  bool stopping_ = false;    // guarded by mutex_
+  std::vector<std::thread> workers_;  // last: the workers use the above
 };
-
-inline thread_local ThreadPool* ThreadPool::worker_pool_ = nullptr;
-inline thread_local size_t ThreadPool::worker_index_ = 0;
 
 }  // namespace pcde

@@ -625,18 +625,6 @@ double ChainSweeper::MassRemaining() const {
   return m;
 }
 
-size_t ChainSweeper::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + groups_.capacity() * sizeof(Group);
-  for (const Group& g : groups_) {
-    bytes += (g.sums.lo.capacity() + g.sums.hi.capacity() +
-              g.sums.prob.capacity()) *
-             sizeof(double);
-  }
-  // Interned intervals plus an estimate of their exact-bits index nodes.
-  bytes += pool_.size() * (sizeof(Interval) + 64);
-  return bytes;
-}
-
 double ChainSweeper::MinSum() const {
   double best = std::numeric_limits<double>::infinity();
   for (const Group& g : groups_) {

@@ -139,11 +139,6 @@ class ChainSweeper {
       std::vector<std::pair<double, double>>* optimistic,
       std::vector<std::pair<double, double>>* pessimistic) const;
 
-  /// Approximate heap footprint of the sweep state (groups' SoA lanes plus
-  /// the interval pool) — the byte accounting PrefixStateCache budgets
-  /// cached sweeper snapshots with.
-  size_t MemoryBytes() const;
-
  private:
   using BoxId = uint32_t;
 
@@ -234,7 +229,7 @@ class ChainSweeper {
   /// one warm instance per thread serves every sweeper on it (routing
   /// copies sweepers per explored prefix; per-sweeper scratch would start
   /// cold each time and pay the allocations again). Sweepers on different
-  /// threads get independent instances, keeping EstimateBatch lock-free.
+  /// threads get independent instances, keeping batch fan-outs lock-free.
   struct Scratch {
     std::vector<uint32_t> live;         // indices of positive-mass buckets
     std::vector<double> cond_w;         // per live bucket: prob / sep marginal

@@ -183,57 +183,6 @@ StatusOr<Histogram1D> HybridEstimator::EstimateWithFallback(
   return total;
 }
 
-std::vector<StatusOr<Histogram1D>> HybridEstimator::EstimateBatch(
-    const PathQuery* queries, size_t num_queries, ThreadPool* pool,
-    BatchMetrics* metrics, const CancelToken* cancel) const {
-  std::vector<StatusOr<Histogram1D>> results(
-      num_queries, Status::Internal("EstimateBatch: query not run"));
-  // Preallocate both metric lanes before the fan-out; inside it, a worker
-  // writes only to its own query's slots. The previous shared atomic
-  // hit/miss counters bounced one cache line across every worker on every
-  // query — the aggregate totals are summed once after the join instead.
-  if (metrics != nullptr) {
-    metrics->query_seconds.assign(num_queries, 0.0);
-    metrics->query_cache_hit.assign(num_queries, 0);
-  }
-  auto run_one = [this, queries, &results, metrics, cancel](size_t i) {
-    if (metrics == nullptr) {
-      results[i] = EstimateCostDistribution(
-          queries[i].path, queries[i].departure_time, nullptr, cancel);
-      return;
-    }
-    Stopwatch watch;
-    EstimateBreakdown breakdown;
-    results[i] = EstimateCostDistribution(
-        queries[i].path, queries[i].departure_time, &breakdown, cancel);
-    metrics->query_seconds[i] = watch.ElapsedSeconds();
-    metrics->query_cache_hit[i] = breakdown.cache_hit ? 1 : 0;
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_queries, run_one);
-  } else {
-    // No pool: run inline on the calling thread (previously a null deref —
-    // the admission layer can legitimately reach here with pooling off).
-    for (size_t i = 0; i < num_queries; ++i) run_one(i);
-  }
-  if (metrics != nullptr) {
-    metrics->cache_hits = 0;
-    metrics->cache_misses = 0;
-    if (cache_ != nullptr) {
-      for (uint8_t hit : metrics->query_cache_hit) {
-        (hit != 0 ? metrics->cache_hits : metrics->cache_misses) += 1;
-      }
-    }
-  }
-  return results;
-}
-
-std::vector<StatusOr<Histogram1D>> HybridEstimator::EstimateBatch(
-    const PathQuery* queries, size_t num_queries, size_t num_threads) const {
-  ThreadPool pool(num_threads);
-  return EstimateBatch(queries, num_queries, &pool);
-}
-
 StatusOr<double> HybridEstimator::EstimateEntropy(const Path& path,
                                                   double departure_time) const {
   PCDE_ASSIGN_OR_RETURN(de, Decompose(path, departure_time));
@@ -254,11 +203,6 @@ ChainOptions ChainOptionsFor(const EstimateOptions& options) {
   return chain;
 }
 
-/// How many of the shallowest unstable-tail prefixes CurrentDistribution
-/// probes and snapshots in an attached PrefixStateCache (see the comment
-/// at the lookup loop).
-constexpr size_t kPrefixReuseDepth = 4;
-
 }  // namespace
 
 IncrementalEstimator::IncrementalEstimator(const PathWeightFunction& wp,
@@ -269,8 +213,7 @@ IncrementalEstimator::IncrementalEstimator(const PathWeightFunction& wp,
       options_(options),
       path_(std::vector<roadnet::EdgeId>{first_edge}),
       departure_time_(departure_time),
-      sweeper_(ChainOptionsFor(options)),
-      options_fingerprint_(QueryCache::Fingerprint(ChainOptionsFor(options))) {
+      sweeper_(ChainOptionsFor(options)) {
   windows_.emplace_back(departure_time, departure_time);
   const InstantiatedVariable* unit =
       wp_.UnitVariable(first_edge, windows_[0]);
@@ -465,77 +408,12 @@ bool IncrementalEstimator::PrefixCostEnvelope(
 }
 
 StatusOr<Histogram1D> IncrementalEstimator::CurrentDistribution() const {
-  // Replay only the unstable tail on a copy of the streamed chain state —
-  // or, with a prefix cache attached, on a clone of the deepest cached
-  // prefix state, which sibling branches sharing this costed prefix
-  // populated (the sub-path reuse of routing exploration). The streamed
-  // state is copied only when no cached prefix hits: a hit overwrites the
-  // sweeper wholesale, so copying up front would waste a deep copy in
-  // exactly the case the cache exists to make fast.
-  ChainSweeper sweeper{ChainOptionsFor(options_)};
-  size_t first = applied_;
-  // Key prefix shared by every lookup/insert of this call: the cached
-  // state after parts [0, k) is a deterministic function of the model,
-  // the chain options, the (variable id, start) sequence, and the
-  // next-overlap start its final ApplyPart used (== parts_[k].start).
-  PrefixStateCache::Key key;
-  const bool use_prefix_cache = prefix_cache_ != nullptr && !parts_.empty();
-  // Probed/snapshotted depths: the kPrefixReuseDepth shallowest tail
-  // prefixes (see the lookup-loop comment).
-  const size_t window_hi =
-      use_prefix_cache
-          ? std::min(parts_.size() - 1, applied_ + kPrefixReuseDepth)
-          : 0;
-  // The probe key for prefix k is key[0, 3 + 2k) plus parts_[k].start, so
-  // one reserved buffer refilled per depth serves every probe and insert
-  // (assign within capacity; no per-depth allocation in the DFS's
-  // innermost loop).
-  PrefixStateCache::Key probe;
-  auto probe_key_for =
-      [this, &key, &probe](size_t k) -> const PrefixStateCache::Key& {
-    probe.assign(key.begin(), key.begin() + static_cast<ptrdiff_t>(3 + 2 * k));
-    probe.push_back(parts_[k].start);
-    return probe;
-  };
-  if (use_prefix_cache) {
-    // Only the first window_hi parts can appear in a probed key
-    // (probe_key_for(k) reads key[0, 3 + 2k) and takes parts_[k].start
-    // directly), so the build stops there.
-    key.reserve(4 + 2 * window_hi);
-    probe.reserve(4 + 2 * window_hi);
-    key.push_back(wp_.fingerprint());
-    key.push_back(options_fingerprint_);
-    const double width = prefix_cache_->options().time_bucket_seconds > 0.0
-                             ? prefix_cache_->options().time_bucket_seconds
-                             : 1.0;
-    key.push_back(static_cast<uint64_t>(
-        static_cast<int64_t>(std::floor(departure_time_ / width))));
-    for (size_t k = 0; k < window_hi; ++k) {
-      key.push_back(parts_[k].variable->id);
-      key.push_back(parts_[k].start);
-    }
-    // Probe only the kPrefixReuseDepth shallowest tail prefixes, deepest
-    // of those first. Absorption makes the deep tail volatile across DFS
-    // siblings — a candidate's last parts routinely rewrite on extension —
-    // so cached states near applied_ are the ones siblings actually share;
-    // probing (and snapshotting) the whole tail costs a miss per depth and
-    // a sweeper copy per insert and measured slower than no cache at all.
-    for (size_t k = window_hi; k > applied_; --k) {
-      if (prefix_cache_->Lookup(probe_key_for(k), &sweeper)) {
-        first = k;
-        break;
-      }
-    }
-  }
-  if (first == applied_) sweeper = sweeper_;  // no cached prefix: replay all
-  for (size_t k = first; k < parts_.size(); ++k) {
+  // Replay only the unstable tail on a copy of the streamed chain state.
+  ChainSweeper sweeper = sweeper_;
+  for (size_t k = applied_; k < parts_.size(); ++k) {
     const size_t next_start =
         k + 1 < parts_.size() ? parts_[k + 1].start : parts_[k].end();
     sweeper.ApplyPart(parts_[k], next_start);
-    const size_t depth = k + 1;
-    if (use_prefix_cache && depth <= window_hi) {
-      prefix_cache_->Insert(probe_key_for(depth), sweeper);
-    }
   }
   auto result = sweeper.Finalize();
   if (result.ok()) return result;

@@ -20,10 +20,8 @@
 #include <functional>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/chain_estimator.h"
 #include "core/decomposition.h"
-#include "core/prefix_state_cache.h"
 #include "core/query_cache.h"
 #include "core/weight_function.h"
 
@@ -81,27 +79,6 @@ struct EstimateBreakdown {
   size_t parts = 0;         // |DE|
   bool cache_hit = false;   // served from the attached QueryCache
   ChainDiagnostics chain;
-};
-
-/// \brief One element of a batch estimation request.
-struct PathQuery {
-  roadnet::Path path;
-  double departure_time = 0.0;
-};
-
-/// \brief Per-batch serving metrics: index-aligned per-query latencies (the
-/// batch layer's p50/p99 source) and the batch's cache traffic. Collection
-/// is allocation- and contention-free in the worker path: both lanes are
-/// preallocated before the fan-out and each worker writes only its own
-/// query's slots (no lock, no shared counter — the aggregate hit/miss
-/// totals are summed once after the join).
-struct BatchMetrics {
-  std::vector<double> query_seconds;
-  /// 1 where the query was served from the attached QueryCache (all 0
-  /// when no cache is attached).
-  std::vector<uint8_t> query_cache_hit;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 };
 
 /// \brief Facade combining decomposition construction and Eq. 2 evaluation.
@@ -165,34 +142,6 @@ class HybridEstimator {
       EstimateBreakdown* breakdown = nullptr,
       const CancelToken* cancel = nullptr) const;
 
-  /// \brief Estimates many path queries concurrently on a work-stealing
-  /// thread pool (one task per query); result i corresponds to queries[i],
-  /// and each result equals what the sequential EstimateCostDistribution
-  /// would return for that query. Estimation is read-only over the weight
-  /// function, so queries share it without locking — this is the serving
-  /// layer for heavy multi-user traffic.
-  ///
-  /// `num_threads` = 0 picks the hardware concurrency. Pass an external
-  /// pool to amortize thread start-up across batches (then `num_threads`
-  /// is ignored).
-  std::vector<StatusOr<hist::Histogram1D>> EstimateBatch(
-      const PathQuery* queries, size_t num_queries,
-      size_t num_threads = 0) const;
-  std::vector<StatusOr<hist::Histogram1D>> EstimateBatch(
-      const std::vector<PathQuery>& queries, size_t num_threads = 0) const {
-    return EstimateBatch(queries.data(), queries.size(), num_threads);
-  }
-  /// `metrics` (optional) receives per-query latencies and cache traffic.
-  /// `pool == nullptr` runs the batch inline on the calling thread (the
-  /// degenerate single-threaded path; previously a crash). `cancel`
-  /// (optional) is checked before each query and threaded through every
-  /// estimate: once tripped, remaining queries fail with the token's
-  /// Status instead of running.
-  std::vector<StatusOr<hist::Histogram1D>> EstimateBatch(
-      const PathQuery* queries, size_t num_queries, ThreadPool* pool,
-      BatchMetrics* metrics = nullptr,
-      const CancelToken* cancel = nullptr) const;
-
   /// The decomposition the configured policy selects for this query.
   StatusOr<Decomposition> Decompose(const roadnet::Path& path,
                                     double departure_time) const;
@@ -237,18 +186,6 @@ class IncrementalEstimator {
   /// departure bucket) skips the chain replay. `cache == nullptr` degrades
   /// to the plain overload.
   StatusOr<hist::Histogram1D> CurrentDistribution(QueryCache* cache) const;
-
-  /// Attaches a prefix chain-state cache (core/prefix_state_cache.h):
-  /// CurrentDistribution then clones the deepest cached prefix state
-  /// instead of replaying the whole unstable tail, and snapshots the
-  /// intermediate states it computes so sibling branches ("path + another
-  /// edge" around a shared prefix) skip the replay. Results are
-  /// bit-identical with and without the cache — ApplyPart is deterministic
-  /// and snapshots are exact copies. Not owned; estimator copies share the
-  /// pointer, and the cache is single-threaded by design (use one per DFS
-  /// branch). Pass nullptr to detach.
-  void set_prefix_cache(PrefixStateCache* cache) { prefix_cache_ = cache; }
-  PrefixStateCache* prefix_cache() const { return prefix_cache_; }
 
   /// Smallest possible total cost of the current path (for routing pruning).
   double MinTotalCost() const { return min_total_; }
@@ -325,10 +262,6 @@ class IncrementalEstimator {
   // Positions with no unit variable at all: their maxima are unknown, so
   // the pessimistic envelope is unusable while this is nonzero.
   size_t units_missing_ = 0;
-  PrefixStateCache* prefix_cache_ = nullptr;  // not owned; single-threaded
-  // Chain-options fingerprint for prefix-cache keys, hashed once here
-  // instead of per CurrentDistribution call.
-  uint64_t options_fingerprint_ = 0;
 };
 
 }  // namespace core

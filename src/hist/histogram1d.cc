@@ -92,7 +92,8 @@ double Histogram1D::Cdf(double x) const {
       break;
     }
   }
-  return acc;
+  // Normalized masses may sum a few ulps above 1; a probability may not.
+  return std::min(acc, 1.0);
 }
 
 double Histogram1D::Quantile(double q) const {
@@ -101,7 +102,9 @@ double Histogram1D::Quantile(double q) const {
   for (const Bucket& b : buckets_) {
     if (acc + b.prob >= q) {
       if (b.prob <= 0.0) return b.range.lo;
-      const double frac = (q - acc) / b.prob;
+      // Rounding in acc can put (q - acc) / prob a hair outside [0, 1],
+      // which would land the quantile outside its bucket (and the support).
+      const double frac = std::clamp((q - acc) / b.prob, 0.0, 1.0);
       return b.range.lo + frac * b.range.width();
     }
     acc += b.prob;

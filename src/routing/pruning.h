@@ -3,7 +3,7 @@
 //
 // Every pruner here is sound under the same assumptions the baseline
 // search already makes (admissible reverse-Dijkstra lower bounds,
-// per-position unit-variable support minima): with num_threads == 1,
+// per-position unit-variable support minima): in a sequential search,
 // incumbent and dominance pruning return exactly the same
 // (path, probability) as the unpruned search (a pruned candidate provably
 // cannot strictly beat the final best); cheap_first — a pure exploration

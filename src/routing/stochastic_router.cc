@@ -56,6 +56,11 @@ DfsStochasticRouter::DfsStochasticRouter(const Graph& graph,
 
 namespace {
 
+/// Expansion slots a branch reserves from the shared budget per fetch_add
+/// (routing/pruning.h's ExpansionBudget), clamped per search to
+/// max_expansions / 8 + 1 so small caps still truncate near the cap.
+constexpr size_t kExpansionStride = 64;
+
 /// Search state shared by all root branches: the expansion budget is
 /// global, so the parallel search does the same total work as the
 /// sequential one.
@@ -302,7 +307,7 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   // at (not far past) the cap; total consumable slots across branches is
   // exactly max_expansions either way.
   const size_t stride = std::max<size_t>(
-      1, std::min(config_.expansion_stride, config_.max_expansions / 8 + 1));
+      1, std::min(kExpansionStride, config_.max_expansions / 8 + 1));
 
   SharedSearch shared;
   shared.cancel = cancel;
@@ -315,16 +320,6 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     if (estimator.MinTotalCost() + search_bound[edge.to] > budget_seconds) {
       ++branch_results[i].bound_pruned;
       return;
-    }
-    // Per-branch prefix chain-state reuse: the DFS copies the estimator
-    // per explored edge, so every copy under this root shares the branch's
-    // cache through the pointer — single-threaded by construction.
-    std::unique_ptr<core::PrefixStateCache> prefix_cache;
-    if (config_.prefix_cache_bytes > 0) {
-      core::PrefixStateCacheOptions cache_options;
-      cache_options.max_bytes = config_.prefix_cache_bytes;
-      prefix_cache = std::make_unique<core::PrefixStateCache>(cache_options);
-      estimator.set_prefix_cache(prefix_cache.get());
     }
     std::vector<bool> visited(graph_.NumVertices(), false);
     visited[from] = true;
@@ -353,21 +348,11 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     ctx.path_vertices = &path_vertices;
     Dfs(&ctx, estimator, edge.to, 1);
     branch_results[i].expansions = budget.consumed();
-    if (prefix_cache != nullptr) {
-      const core::PrefixStateCacheStats stats = prefix_cache->stats();
-      branch_results[i].prefix_cache_hits = stats.hits;
-      branch_results[i].prefix_cache_misses = stats.misses;
-    }
   };
-  if (config_.num_threads == 1 || roots.size() <= 1) {
-    // Nothing to fan out (or parallelism disabled): skip pool start-up.
-    for (size_t i = 0; i < roots.size(); ++i) run_branch(i);
-  } else if (config_.pool != nullptr) {
-    // Shared external pool (serving::Engine): no per-Route thread start-up.
+  if (config_.pool != nullptr) {
     config_.pool->ParallelFor(roots.size(), run_branch);
   } else {
-    ThreadPool pool(config_.num_threads);
-    pool.ParallelFor(roots.size(), run_branch);
+    for (size_t i = 0; i < roots.size(); ++i) run_branch(i);
   }
 
   // A cancelled search unwinds with the token's Status — an anytime cutoff
@@ -385,8 +370,6 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   for (const RouteResult& br : branch_results) {
     total_expansions += br.expansions;
     result.candidate_paths += br.candidate_paths;
-    result.prefix_cache_hits += br.prefix_cache_hits;
-    result.prefix_cache_misses += br.prefix_cache_misses;
     result.bound_pruned += br.bound_pruned;
     result.incumbent_pruned += br.incumbent_pruned;
     result.dominance_pruned += br.dominance_pruned;

@@ -31,13 +31,10 @@ struct RouterConfig {
   /// generous budget is exponential (also true of [10]).
   size_t max_expansions = 500000;
   size_t max_path_edges = 150;
-  /// Worker threads for the root fan-out (the DFS subtrees under distinct
-  /// first edges run as parallel pool tasks); 0 = hardware concurrency.
-  size_t num_threads = 0;
-  /// External pool for the root fan-out (not owned): amortizes thread
-  /// start-up across Route calls — serving::Engine passes its shared pool
-  /// here. When set, `num_threads` only gates the fan-out decision
-  /// (1 = run sequentially, skipping the pool entirely).
+  /// Pool for the root fan-out (not owned): the DFS subtrees under
+  /// distinct first edges run as its ParallelFor items — serving::Engine
+  /// passes its shared pool here. nullptr searches sequentially on the
+  /// calling thread, as does a 1-thread pool.
   ThreadPool* pool = nullptr;
   /// Optional shared result cache (not owned): complete candidate paths are
   /// looked up by decomposition identity before finalizing the chain state,
@@ -45,32 +42,14 @@ struct RouterConfig {
   /// reuse each other's sub-path distributions. Must be backed by the same
   /// weight function as the router. nullptr disables caching.
   core::QueryCache* query_cache = nullptr;
-  /// Byte budget for the per-root-branch prefix chain-state cache
-  /// (core/prefix_state_cache.h): candidate paths sharing a costed
-  /// decomposition prefix clone the sweeper state instead of replaying it
-  /// — the sub-path cost reuse of routing exploration. One cache per DFS
-  /// root branch, so the parallel fan-out stays contention-free; results
-  /// are bit-identical with reuse on or off (tests/prefix_state_cache_test
-  /// proves it). Opt-in (0 = disabled), like query_cache: on rich
-  /// high-rank models absorption rewrites candidate tails, so hits land on
-  /// the cheap shallow prefixes and the snapshot copies roughly cancel the
-  /// replay savings (the paired route_dfs vs route_dfs_prefix_reuse bench
-  /// series measures the trade on your workload); low-rank models
-  /// (unit/pairwise chains) share deeper and benefit more.
-  size_t prefix_cache_bytes = 0;
   /// Opt-in search pruners (routing/pruning.h). All default off, which is
-  /// bit-identical to the pre-pruning router. With num_threads == 1,
+  /// bit-identical to the pre-pruning router. In a sequential search,
   /// incumbent and dominance pruning return exactly the same
   /// (path, probability) as the plain search; cheap_first (an exploration
   /// reorder) and the parallel fan-out preserve the probability exactly
   /// but may resolve an exact probability tie to a different equally-good
   /// path.
   PruningOptions pruning;
-  /// Expansion slots a branch reserves from the shared budget per
-  /// fetch_add (clamped internally to max_expansions / 8 + 1 so small
-  /// caps still truncate near the cap). 1 reproduces the per-node
-  /// fetch_add of the baseline.
-  size_t expansion_stride = 64;
 };
 
 struct RouteResult {
@@ -80,10 +59,6 @@ struct RouteResult {
   size_t candidate_paths = 0;     // complete paths whose distribution was
                                   // evaluated
   bool truncated = false;         // expansion cap hit
-  /// Prefix chain-state cache traffic summed over root branches (all zero
-  /// when prefix reuse is disabled).
-  uint64_t prefix_cache_hits = 0;
-  uint64_t prefix_cache_misses = 0;
   /// Per-pruner attribution counters (summed over root branches).
   /// bound_pruned counts admissible free-flow bound cuts (always active);
   /// the other cut counters stay zero unless their pruner is enabled.

@@ -77,10 +77,8 @@ std::shared_ptr<const Engine::Epoch> Engine::BuildEpoch(
     config.lower_bound_factor = options_.route_lower_bound_factor;
     config.max_expansions = options_.route_max_expansions;
     config.max_path_edges = options_.route_max_path_edges;
-    config.num_threads = pool_->num_threads();
     config.pool = pool_;
     config.query_cache = cache_.get();
-    config.prefix_cache_bytes = options_.prefix_cache_bytes;
     config.pruning = options_.route_pruning;
     epoch->router = std::make_unique<routing::DfsStochasticRouter>(
         *options_.graph, *epoch->model, options_.estimate, config);
@@ -394,15 +392,13 @@ namespace {
 /// histogram in when the request asked for it.
 EstimateResponse MakeResponse(const EstimateRequest& request, Path path,
                               Histogram1D dist,
-                              const core::EstimateBreakdown* breakdown) {
+                              const core::EstimateBreakdown& breakdown) {
   EstimateResponse response;
   response.summary = SummarizeDistribution(
       dist, request.stats, request.budget_seconds, request.quantiles);
   response.resolved_path = std::move(path);
-  if (breakdown != nullptr) {
-    response.served_from_cache = breakdown->cache_hit;
-    if (request.want_breakdown) response.breakdown = *breakdown;
-  }
+  response.served_from_cache = breakdown.cache_hit;
+  if (request.want_breakdown) response.breakdown = breakdown;
   if (request.want_distribution) response.distribution = std::move(dist);
   return response;
 }
@@ -434,8 +430,8 @@ const CancelToken* SetupCancel(double timeout_seconds,
 
 }  // namespace
 
-StatusOr<EstimateResponse> Engine::Estimate(
-    const EstimateRequest& request) const {
+StatusOr<EstimateResponse> Engine::Serve(
+    const Epoch& epoch, const EstimateRequest& request) const {
   Stopwatch watch;
   // Admission before any work: at capacity the request sheds with
   // kResourceExhausted instead of joining an unbounded queue.
@@ -447,26 +443,31 @@ StatusOr<EstimateResponse> Engine::Estimate(
   std::optional<CancelToken> deadline_token;
   const CancelToken* cancel =
       SetupCancel(request.timeout_seconds, request.cancel, &deadline_token);
-  // Pin one epoch for the whole request: resolution, estimation, and
-  // provenance all read the same published model even if Swap lands
-  // mid-request.
-  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
   PCDE_ASSIGN_OR_RETURN(path, ResolvePath(request.path));
   core::EstimateBreakdown breakdown;
   core::FallbackProvenance provenance;
-  auto dist = epoch->estimator->EstimateWithFallback(
+  auto dist = epoch.estimator->EstimateWithFallback(
       path, request.departure_time, &provenance, &breakdown, cancel);
   if (!dist.ok()) {
     CountUnwind(dist.status());
     return dist.status();
   }
   EstimateResponse response = MakeResponse(request, std::move(path),
-                                           std::move(dist).value(), &breakdown);
-  StampProvenance(&response, epoch->model->fingerprint(), epoch->sequence,
+                                           std::move(dist).value(), breakdown);
+  StampProvenance(&response, epoch.model->fingerprint(), epoch.sequence,
                   provenance);
   response.inflight_at_admit = inflight_now;
   response.serve_seconds = watch.ElapsedSeconds();
   return response;
+}
+
+StatusOr<EstimateResponse> Engine::Estimate(
+    const EstimateRequest& request) const {
+  // Pin one epoch for the whole request: resolution, estimation, and
+  // provenance all read the same published model even if Swap lands
+  // mid-request.
+  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
+  return Serve(*epoch, request);
 }
 
 std::vector<StatusOr<EstimateResponse>> Engine::EstimateBatch(
@@ -474,57 +475,17 @@ std::vector<StatusOr<EstimateResponse>> Engine::EstimateBatch(
   // One epoch pin for the whole batch: every response of a batch is served
   // by the same published model, whatever Swap does meanwhile.
   const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
-  const uint64_t fingerprint = epoch->model->fingerprint();
   std::vector<StatusOr<EstimateResponse>> responses(
       num_requests, Status::Internal("EstimateBatch: request not run"));
-  // One pool task per request, resolution included (OD resolution is a
+  // One pool item per request, resolution included (OD resolution is a
   // Dijkstra run — the dominant per-request cost of the OD scenario, so it
-  // must not serialize on the caller thread). A request that fails
-  // resolution or estimation gets its own Status and the rest proceed —
-  // per-request error isolation. Resolution and estimation are
-  // deterministic, so the fan-out cannot change results.
-  pool_->ParallelFor(num_requests, [this, requests, &responses, &epoch,
-                                    fingerprint](size_t i) {
-    Stopwatch watch;
-    // Admission is per request, inside the task: a shed request fails
-    // alone with kResourceExhausted — the one-bad-request-never-fails-
-    // the-batch contract extends to overload.
-    AdmissionController::Slot slot;
-    uint64_t inflight_now = 0;
-    Status admitted = admission_->Acquire(&slot, &inflight_now);
-    if (!admitted.ok()) {
-      responses[i] = admitted;
-      return;
-    }
-    // Each request's deadline runs from its own task start (admission
-    // included), independent of its batch siblings.
-    std::optional<CancelToken> deadline_token;
-    const CancelToken* cancel = SetupCancel(requests[i].timeout_seconds,
-                                            requests[i].cancel,
-                                            &deadline_token);
-    auto resolved = ResolvePath(requests[i].path);
-    if (!resolved.ok()) {
-      responses[i] = resolved.status();
-      return;
-    }
-    core::EstimateBreakdown breakdown;
-    core::FallbackProvenance provenance;
-    auto dist = epoch->estimator->EstimateWithFallback(
-        resolved.value(), requests[i].departure_time, &provenance, &breakdown,
-        cancel);
-    if (!dist.ok()) {
-      CountUnwind(dist.status());
-      responses[i] = dist.status();
-      return;
-    }
-    EstimateResponse response =
-        MakeResponse(requests[i], std::move(resolved).value(),
-                     std::move(dist).value(), nullptr);
-    response.served_from_cache = breakdown.cache_hit;
-    StampProvenance(&response, fingerprint, epoch->sequence, provenance);
-    response.inflight_at_admit = inflight_now;
-    response.serve_seconds = watch.ElapsedSeconds();
-    responses[i] = std::move(response);
+  // must not serialize on the caller thread). Each request is admitted,
+  // given its own deadline, and fails alone: one bad or shed request never
+  // fails the batch. Resolution and estimation are deterministic, so the
+  // fan-out cannot change results.
+  pool_->ParallelFor(num_requests, [this, requests, &responses,
+                                    &epoch](size_t i) {
+    responses[i] = Serve(*epoch, requests[i]);
   });
   return responses;
 }
@@ -555,8 +516,6 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
   response.expansions = result.value().expansions;
   response.candidate_paths = result.value().candidate_paths;
   response.truncated = result.value().truncated;
-  response.prefix_cache_hits = result.value().prefix_cache_hits;
-  response.prefix_cache_misses = result.value().prefix_cache_misses;
   response.bound_pruned = result.value().bound_pruned;
   response.incumbent_pruned = result.value().incumbent_pruned;
   response.dominance_pruned = result.value().dominance_pruned;

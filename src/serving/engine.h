@@ -15,7 +15,7 @@
 //
 // Open either loads a frozen model (binary artifact via buffered read or
 // mmap, or the text format) or adopts an already-built PathWeightFunction;
-// it constructs the shared work-stealing ThreadPool and sizes/attaches the
+// it constructs the shared ThreadPool and sizes/attaches the
 // QueryCache declaratively from the options. Estimation through the Engine
 // is bit-identical to direct HybridEstimator wiring with the same options
 // (tests/serving_engine_test.cc proves it, with and without caches) — the
@@ -126,8 +126,9 @@ struct EngineOptions {
   /// (the OD / OD-x / HP / LB method choice).
   core::EstimateOptions estimate;
 
-  /// Workers of the engine's shared pool (batch fan-out and the router's
-  /// root fan-out). 0 = hardware concurrency.
+  /// Threads of the engine's shared pool (batch fan-out and the router's
+  /// root fan-out), the calling thread included: 1 runs everything on the
+  /// caller. 0 = hardware concurrency.
   size_t num_threads = 0;
 
   /// External worker pool (not owned; must outlive the engine). When set,
@@ -142,10 +143,6 @@ struct EngineOptions {
   size_t query_cache_shards = 8;
   /// Departure-time bucket width folded into cache keys.
   double cache_time_bucket_seconds = 300.0;
-
-  /// Per-root-branch prefix chain-state reuse inside Route
-  /// (core/prefix_state_cache.h); 0 disables (opt-in, like the router's).
-  size_t prefix_cache_bytes = 0;
 
   /// DFS router knobs (see routing::RouterConfig for semantics).
   double route_lower_bound_factor = 0.8;
@@ -317,8 +314,8 @@ class Engine {
   }
 
   /// Probabilistic budget routing (Sec. 4.3) on the engine's stack: the
-  /// DFS router runs with the engine's estimate options, query cache,
-  /// prefix-reuse budget, and shared pool. Requires options.graph.
+  /// DFS router runs with the engine's estimate options, query cache, and
+  /// shared pool. Requires options.graph.
   StatusOr<RouteResponse> Route(const RouteRequest& request) const;
 
   /// Point-in-time snapshot of the overload counters (admission traffic,
@@ -376,6 +373,12 @@ class Engine {
   StatusOr<uint64_t> VerifyAndPublishLocked(
       std::shared_ptr<const core::PathWeightFunction> model,
       const SwapOptions& swap_options);
+
+  /// The one serve body behind Estimate and EstimateBatch: admission,
+  /// deadline set-up, resolution, estimation on `epoch`, and response
+  /// stamping for one request.
+  StatusOr<EstimateResponse> Serve(const Epoch& epoch,
+                                   const EstimateRequest& request) const;
 
   /// Bumps the deadline_exceeded / cancelled counter matching a request's
   /// terminal Status (no-op for other codes).

@@ -76,8 +76,8 @@ struct EstimateRequest {
   /// Attach the full distribution to the response (off by default — the
   /// summary is the serving contract, the histogram the internal type).
   bool want_distribution = false;
-  /// Fill the response's per-phase EstimateBreakdown (single-request
-  /// Estimate only; batch responses carry serve_seconds + cache flag).
+  /// Fill the response's per-phase EstimateBreakdown (Estimate and each
+  /// request of an EstimateBatch alike).
   bool want_breakdown = false;
   /// Wall-clock deadline budget, in seconds from request entry; <= 0 (the
   /// default) means no deadline. An expired request unwinds cooperatively
@@ -148,7 +148,7 @@ struct EstimateResponse {
   roadnet::Path resolved_path;
   /// The full distribution, only when the request set want_distribution.
   std::optional<hist::Histogram1D> distribution;
-  /// Per-phase breakdown (want_breakdown, single-request Estimate only).
+  /// Per-phase breakdown (only when the request set want_breakdown).
   core::EstimateBreakdown breakdown;
   /// Served from the engine's QueryCache instead of sweeping the chain.
   bool served_from_cache = false;
@@ -192,10 +192,6 @@ struct RouteResponse {
   size_t expansions = 0;
   size_t candidate_paths = 0;
   bool truncated = false;  // DFS expansion cap hit
-  /// Prefix chain-state cache traffic (EngineOptions::prefix_cache_bytes;
-  /// zero when disabled).
-  uint64_t prefix_cache_hits = 0;
-  uint64_t prefix_cache_misses = 0;
   /// Per-pruner attribution counters (routing::RouteResult): admissible
   /// free-flow bound cuts, incumbent-CDF cuts, stochastic-dominance cuts,
   /// and the estimator clones actually paid. The cut counters other than

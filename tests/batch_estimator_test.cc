@@ -1,16 +1,18 @@
-// Concurrency tests for the EstimateBatch layer: the parallel batch must
-// match the sequential estimator result-for-result (estimation is
-// read-only over the weight function), reuse an external pool, and the
-// parallel routing root fan-out must agree with a single-threaded run.
+// Concurrency tests for the batch layer, serving::Engine::EstimateBatch:
+// the parallel batch must match the sequential estimator result-for-result
+// (estimation is read-only over the weight function), and the kRandom
+// policy must stay deterministic per query under any worker count.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
-#include "common/rng.h"
+#include "common/scoped_file.h"
 #include "core/estimator.h"
 #include "core/instantiation.h"
-#include "hist/histogram_nd.h"
-#include "routing/stochastic_router.h"
+#include "core/serialization.h"
+#include "serving/engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -19,7 +21,6 @@ namespace core {
 namespace {
 
 using hist::Histogram1D;
-using roadnet::Path;
 using traj::TrajectoryStore;
 
 class BatchFixture : public ::testing::Test {
@@ -32,8 +33,11 @@ class BatchFixture : public ::testing::Test {
     store_ = new TrajectoryStore(dataset_->MatchedSlice(1.0));
     wp_ = new PathWeightFunction(
         InstantiateWeightFunction(*dataset_->graph, *store_, params));
+    artifact_ = MakeTempArtifactPath("pcde_batch_test");
+    ASSERT_TRUE(SaveWeightFunctionBinary(*wp_, artifact_).ok());
   }
   static void TearDownTestSuite() {
+    std::remove(artifact_.c_str());
     delete wp_;
     delete store_;
     delete dataset_;
@@ -42,110 +46,73 @@ class BatchFixture : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  /// Queries drawn from instantiated variables (so decompositions are
+  /// Requests drawn from instantiated variables (so decompositions are
   /// nontrivial), departing inside each variable's interval.
-  static std::vector<PathQuery> MakeQueries(size_t limit) {
-    std::vector<PathQuery> queries;
+  static std::vector<serving::EstimateRequest> MakeRequests(size_t limit) {
+    std::vector<serving::EstimateRequest> requests;
     for (const InstantiatedVariable& v : wp_->variables()) {
       if (v.from_speed_limit) continue;
       const Interval ij = wp_->binning().IntervalOf(v.interval);
-      queries.push_back(PathQuery{v.path, ij.lo + 60.0});
-      if (queries.size() >= limit) break;
+      serving::EstimateRequest request;
+      request.path = serving::PathSpec::ExplicitPath(v.path);
+      request.departure_time = ij.lo + 60.0;
+      request.want_distribution = true;
+      requests.push_back(std::move(request));
+      if (requests.size() >= limit) break;
     }
-    return queries;
+    return requests;
+  }
+
+  /// A cacheless engine over the saved model, so every batch response is
+  /// computed, not replayed.
+  static std::unique_ptr<serving::Engine> OpenEngine(
+      size_t num_threads, EstimateOptions estimate = EstimateOptions()) {
+    serving::EngineOptions options;
+    options.model_path = artifact_;
+    options.estimate = estimate;
+    options.num_threads = num_threads;
+    options.query_cache_bytes = 0;
+    auto engine = serving::Engine::Open(std::move(options));
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? std::move(engine).value() : nullptr;
   }
 
   static traj::Dataset* dataset_;
   static TrajectoryStore* store_;
   static PathWeightFunction* wp_;
+  static std::string artifact_;
 };
 
 traj::Dataset* BatchFixture::dataset_ = nullptr;
 TrajectoryStore* BatchFixture::store_ = nullptr;
 PathWeightFunction* BatchFixture::wp_ = nullptr;
+std::string BatchFixture::artifact_;
 
-void ExpectSameResult(const StatusOr<Histogram1D>& got,
+void ExpectSameResult(const StatusOr<serving::EstimateResponse>& got,
                       const StatusOr<Histogram1D>& want, size_t i) {
   ASSERT_EQ(got.ok(), want.ok()) << "query " << i;
   if (!got.ok()) {
     EXPECT_EQ(got.status().code(), want.status().code()) << "query " << i;
     return;
   }
-  ASSERT_EQ(got.value().NumBuckets(), want.value().NumBuckets())
+  ASSERT_TRUE(got.value().distribution.has_value()) << "query " << i;
+  EXPECT_TRUE(got.value().distribution->BitIdentical(want.value()))
       << "query " << i;
-  for (size_t b = 0; b < got.value().NumBuckets(); ++b) {
-    EXPECT_DOUBLE_EQ(got.value().bucket(b).range.lo,
-                     want.value().bucket(b).range.lo);
-    EXPECT_DOUBLE_EQ(got.value().bucket(b).range.hi,
-                     want.value().bucket(b).range.hi);
-    EXPECT_DOUBLE_EQ(got.value().bucket(b).prob, want.value().bucket(b).prob);
-  }
 }
 
 TEST_F(BatchFixture, BatchMatchesSequentialResultForResult) {
-  const HybridEstimator estimator(*wp_);
-  const std::vector<PathQuery> queries = MakeQueries(60);
-  ASSERT_GE(queries.size(), 20u);
+  auto engine = OpenEngine(/*num_threads=*/4);
+  ASSERT_NE(engine, nullptr);
+  const HybridEstimator estimator(engine->model());
+  const std::vector<serving::EstimateRequest> requests = MakeRequests(60);
+  ASSERT_GE(requests.size(), 20u);
 
-  const auto batch = estimator.EstimateBatch(queries, 4);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
+  const auto batch = engine->EstimateBatch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
     const auto sequential = estimator.EstimateCostDistribution(
-        queries[i].path, queries[i].departure_time);
+        requests[i].path.edges, requests[i].departure_time);
     ExpectSameResult(batch[i], sequential, i);
-  }
-}
-
-TEST_F(BatchFixture, ExternalPoolIsReusableAcrossBatches) {
-  const HybridEstimator estimator(*wp_);
-  const std::vector<PathQuery> queries = MakeQueries(24);
-  ThreadPool pool(3);
-  const auto first = estimator.EstimateBatch(queries.data(), queries.size(),
-                                             &pool);
-  const auto second = estimator.EstimateBatch(queries.data(), queries.size(),
-                                              &pool);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    ExpectSameResult(first[i], second[i], i);
-  }
-}
-
-TEST_F(BatchFixture, NullPoolRunsInlineAndMatchesSequential) {
-  // Regression: EstimateBatch with pool == nullptr used to dereference the
-  // null pool. It now runs the batch inline on the caller's thread and
-  // must still match the sequential estimator result-for-result.
-  const HybridEstimator estimator(*wp_);
-  const std::vector<PathQuery> queries = MakeQueries(16);
-  ASSERT_GE(queries.size(), 8u);
-  BatchMetrics metrics;
-  const auto batch = estimator.EstimateBatch(queries.data(), queries.size(),
-                                             nullptr, &metrics);
-  ASSERT_EQ(batch.size(), queries.size());
-  EXPECT_EQ(metrics.query_seconds.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const auto sequential = estimator.EstimateCostDistribution(
-        queries[i].path, queries[i].departure_time);
-    ExpectSameResult(batch[i], sequential, i);
-  }
-}
-
-TEST_F(BatchFixture, CancelledBatchReturnsPerQueryStatusNotPartialResults) {
-  // A pre-tripped token: every query unwinds with the token's Status, no
-  // partial histograms leak out — on the pooled path and the inline path.
-  const HybridEstimator estimator(*wp_);
-  const std::vector<PathQuery> queries = MakeQueries(12);
-  CancelToken token;
-  token.Cancel();
-  ThreadPool pool(3);
-  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
-    const auto batch =
-        estimator.EstimateBatch(queries.data(), queries.size(), p, nullptr,
-                                &token);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_FALSE(batch[i].ok()) << i;
-      EXPECT_EQ(batch[i].status().code(), StatusCode::kCancelled) << i;
-    }
   }
 }
 
@@ -154,77 +121,21 @@ TEST_F(BatchFixture, RandomPolicyBatchIsDeterministicPerQuery) {
   // must be reproducible run-to-run even under concurrency.
   EstimateOptions options;
   options.policy = DecompositionPolicy::kRandom;
-  const HybridEstimator estimator(*wp_, options);
-  const std::vector<PathQuery> queries = MakeQueries(20);
-  const auto a = estimator.EstimateBatch(queries, 4);
-  const auto b = estimator.EstimateBatch(queries, 2);
+  auto four = OpenEngine(/*num_threads=*/4, options);
+  auto two = OpenEngine(/*num_threads=*/2, options);
+  ASSERT_NE(four, nullptr);
+  ASSERT_NE(two, nullptr);
+  const std::vector<serving::EstimateRequest> requests = MakeRequests(20);
+  const auto a = four->EstimateBatch(requests);
+  const auto b = two->EstimateBatch(requests);
   ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) ExpectSameResult(a[i], b[i], i);
-}
-
-TEST(ParallelRoutingTest, RootFanOutMatchesSingleThreaded) {
-  // A 4x4 grid with per-edge unit variables: the root fan-out explores
-  // the two out-edges of the corner source as independent branches; the
-  // merged result must match the single-threaded run exactly (pruning is
-  // budget-driven, so the branch partition cannot change the answer).
-  constexpr int kSide = 4;
-  roadnet::Graph g;
-  std::vector<roadnet::VertexId> v;
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      v.push_back(g.AddVertex(1000.0 * i, 1000.0 * j));
-    }
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].ok(), b[i].ok()) << "query " << i;
+    if (!a[i].ok()) continue;
+    EXPECT_TRUE(a[i].value().distribution->BitIdentical(
+        *b[i].value().distribution))
+        << "query " << i;
   }
-  Rng rng(11);
-  WeightFunctionBuilder wp_builder{TimeBinning(30.0)};
-  auto connect = [&](roadnet::VertexId a, roadnet::VertexId b) {
-    const roadnet::EdgeId e = g.AddEdge(a, b, 1000.0, 13.9).value();
-    const double fast = rng.Uniform(60.0, 90.0);
-    InstantiatedVariable var;
-    var.path = Path({e});
-    var.interval = kAllDayInterval;
-    var.joint = hist::HistogramND::FromHistogram1D(
-        Histogram1D::Make({{fast, fast + 30.0, 0.8},
-                           {fast + 60.0, fast + 120.0, 0.2}})
-            .value());
-    var.from_speed_limit = true;
-    wp_builder.Add(std::move(var));
-  };
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      if (i + 1 < kSide) connect(v[i * kSide + j], v[(i + 1) * kSide + j]);
-      if (j + 1 < kSide) connect(v[i * kSide + j], v[i * kSide + j + 1]);
-    }
-  }
-  const PathWeightFunction wp = std::move(wp_builder).Freeze();
-
-  routing::RouterConfig sequential;
-  sequential.num_threads = 1;
-  routing::RouterConfig parallel;
-  parallel.num_threads = 4;
-  const routing::DfsStochasticRouter router_seq(g, wp, EstimateOptions(),
-                                                sequential);
-  const routing::DfsStochasticRouter router_par(g, wp, EstimateOptions(),
-                                                parallel);
-  size_t compared = 0;
-  for (double budget_s : {500.0, 700.0, 900.0, 1200.0}) {
-    auto seq = router_seq.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
-    auto par = router_par.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
-    ASSERT_EQ(seq.ok(), par.ok()) << budget_s;
-    if (!seq.ok()) continue;
-    EXPECT_FALSE(seq.value().truncated);
-    EXPECT_FALSE(par.value().truncated);
-    EXPECT_DOUBLE_EQ(seq.value().best_probability,
-                     par.value().best_probability)
-        << budget_s;
-    EXPECT_EQ(seq.value().best_path.edges(), par.value().best_path.edges())
-        << budget_s;
-    EXPECT_EQ(seq.value().candidate_paths, par.value().candidate_paths)
-        << budget_s;
-    EXPECT_EQ(seq.value().expansions, par.value().expansions) << budget_s;
-    ++compared;
-  }
-  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

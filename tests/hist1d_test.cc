@@ -39,6 +39,21 @@ TEST(Histogram1DTest, MakeSortsBuckets) {
   EXPECT_DOUBLE_EQ(h.Max(), 10.0);
 }
 
+TEST(Histogram1DTest, SummariesStayInsideUnitMassAndSupport) {
+  // Normalized masses 1/2 + 1/3 + 1/6 sum one ulp above 1: the CDF past
+  // the support must still be exactly 1.
+  const Histogram1D above =
+      MustMake({{10, 17, 3.0 / 6}, {17, 24, 2.0 / 6}, {24, 31, 1.0 / 6}});
+  EXPECT_EQ(above.ProbWithin(above.Max() + 1), 1.0);
+  EXPECT_LE(above.Quantile(1.0), above.Max());
+  // 6/7 + 1/7: the running sum rounds so that the last bucket's in-bucket
+  // fraction for q = 1 exceeds 1, which used to push Quantile(1.0) past
+  // Max().
+  const Histogram1D past = MustMake({{2, 9, 6.0 / 7}, {9, 16, 1.0 / 7}});
+  EXPECT_EQ(past.ProbWithin(past.Max() + 1), 1.0);
+  EXPECT_LE(past.Quantile(1.0), past.Max());
+}
+
 TEST(Histogram1DTest, MassRenormalizedWithinTolerance) {
   const Histogram1D h = MustMake({{0, 5, 0.5000004}, {5, 10, 0.4999999}});
   double total = 0;

@@ -184,9 +184,9 @@ TEST_F(IoTest, WeightFunctionLoadRejectsGarbage) {
   EXPECT_FALSE(core::LoadWeightFunction("/nonexistent/wp.txt").ok());
 }
 
-TEST_F(IoTest, TextV1ShimAndBinningMismatch) {
-  // A v1-era file (no BINNING record) loads only through the shim, with
-  // the caller supplying the binning it was built with.
+TEST_F(IoTest, TextV1IsRejected) {
+  // A v1-era file (no BINNING record) does not say which binning its
+  // variables were built with, so it is a clean load-time error.
   const std::string v1 = Track(TempPath("pcde_wp_v1.txt"));
   {
     std::FILE* f = std::fopen(v1.c_str(), "w");
@@ -194,24 +194,11 @@ TEST_F(IoTest, TextV1ShimAndBinningMismatch) {
                "HB,1,0\n", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(core::LoadWeightFunction(v1).ok());  // v1 rejected here
-  auto shimmed = core::LoadWeightFunctionTextV1(v1, 30.0);
-  ASSERT_TRUE(shimmed.ok()) << shimmed.status().ToString();
-  EXPECT_EQ(shimmed.value().binning().alpha_seconds(), 1800.0);
-  EXPECT_NE(shimmed.value().Lookup(roadnet::Path({3}), 16), nullptr);
-
-  // A v2 file whose embedded binning disagrees with the caller's alpha is
-  // a load-time error (this mismatch used to be silent model corruption).
-  const std::string v2 = Track(TempPath("pcde_wp_v2.txt"));
-  {
-    std::FILE* f = std::fopen(v2.c_str(), "w");
-    std::fputs("BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n", f);
-    std::fclose(f);
-  }
-  EXPECT_TRUE(core::LoadWeightFunctionTextV1(v2, 30.0).ok());
-  auto mismatch = core::LoadWeightFunctionTextV1(v2, 60.0);
-  EXPECT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+  auto loaded = core::LoadWeightFunction(v1);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("text v1"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -110,13 +110,18 @@ class ModelArtifactTest : public ::testing::Test {
     return p;
   }
 
+  struct Query {
+    roadnet::Path path;
+    double departure_time = 0.0;
+  };
+
   /// Queries over data-instantiated variables (nontrivial decompositions).
-  static std::vector<PathQuery> MakeQueries(size_t limit) {
-    std::vector<PathQuery> queries;
+  static std::vector<Query> MakeQueries(size_t limit) {
+    std::vector<Query> queries;
     for (const InstantiatedVariable& v : wp_->variables()) {
       if (v.from_speed_limit) continue;
       const Interval ij = wp_->binning().IntervalOf(v.interval);
-      queries.push_back(PathQuery{v.path, ij.lo + 60.0});
+      queries.push_back(Query{v.path, ij.lo + 60.0});
       if (queries.size() >= limit) break;
     }
     return queries;
@@ -125,7 +130,7 @@ class ModelArtifactTest : public ::testing::Test {
   /// Every query estimated on `loaded` must be byte-identical to the
   /// just-built model's estimate.
   static void ExpectGoldenEquivalence(const PathWeightFunction& loaded) {
-    const std::vector<PathQuery> queries = MakeQueries(40);
+    const std::vector<Query> queries = MakeQueries(40);
     ASSERT_GE(queries.size(), 10u);
     const HybridEstimator built(*wp_);
     const HybridEstimator served(loaded);
@@ -222,7 +227,7 @@ TEST_F(ModelArtifactTest, QueryCacheEntriesSurviveSaveLoad) {
   auto loaded = LoadWeightFunctionBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  const std::vector<PathQuery> queries = MakeQueries(30);
+  const std::vector<Query> queries = MakeQueries(30);
   ASSERT_GE(queries.size(), 10u);
 
   // Warm the shared cache through the *built* model, then serve the same
@@ -231,7 +236,7 @@ TEST_F(ModelArtifactTest, QueryCacheEntriesSurviveSaveLoad) {
   QueryCache cache;
   HybridEstimator warmer(*wp_);
   warmer.set_query_cache(&cache);
-  for (const PathQuery& q : queries) {
+  for (const Query& q : queries) {
     ASSERT_TRUE(
         warmer.EstimateCostDistribution(q.path, q.departure_time).ok());
   }
@@ -528,7 +533,7 @@ TEST_F(ModelArtifactTest, SwapSurvivesCorruptArtifactSweep) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   serving::Engine& engine = *opened.value();
 
-  const std::vector<PathQuery> queries = MakeQueries(1);
+  const std::vector<Query> queries = MakeQueries(1);
   ASSERT_FALSE(queries.empty());
   serving::EstimateRequest request;
   request.path = serving::PathSpec::ExplicitPath(queries[0].path);

@@ -1,12 +1,13 @@
 // Tests for the opt-in DFS pruners (routing/pruning.h, routing/frontier.h):
 // quality parity with the plain search (exact, per the sequential
-// determinism contract), per-pruner counters, strided expansion-budget
-// semantics, dominance machinery, and the serving::Engine surface.
+// determinism contract), per-pruner counters, expansion-budget
+// truncation, dominance machinery, and the serving::Engine surface.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/cancel_token.h"
+#include "common/thread_pool.h"
 #include "core/instantiation.h"
 #include "hist/histogram_nd.h"
 #include "roadnet/generators.h"
@@ -142,7 +143,7 @@ PruningOptions AllPruners() {
 }
 
 TEST_F(CityPruningTest, EveryPrunerComboMatchesPlainExactly) {
-  // Sequential determinism contract: with num_threads == 1, any pruner
+  // Sequential determinism contract: without a pool, any pruner
   // combination returns exactly the same (path, probability) as the plain
   // search — pruned candidates provably cannot beat the final best.
   struct Combo {
@@ -174,14 +175,12 @@ TEST_F(CityPruningTest, EveryPrunerComboMatchesPlainExactly) {
     for (double slack : {1.1, 1.3}) {
       const double budget = MinTime(od.first, od.second) * slack;
       RouterConfig plain_config;
-      plain_config.num_threads = 1;
       DfsStochasticRouter plain(graph_, wp_, EstimateOptions(), plain_config);
       auto base = plain.Route(od.first, od.second, 8 * 3600.0, budget);
       ASSERT_TRUE(base.ok()) << base.status().ToString();
       ASSERT_FALSE(base.value().truncated);
       for (const Combo& combo : combos) {
         RouterConfig config;
-        config.num_threads = 1;
         config.pruning = combo.prune;
         DfsStochasticRouter pruned(graph_, wp_, EstimateOptions(), config);
         auto result = pruned.Route(od.first, od.second, 8 * 3600.0, budget);
@@ -230,13 +229,13 @@ TEST_F(CityPruningTest, ParallelPrunedPreservesProbability) {
   const VertexId to = 30;
   const double budget = MinTime(from, to) * 1.3;
   RouterConfig plain_config;
-  plain_config.num_threads = 1;
   DfsStochasticRouter plain(graph_, wp_, EstimateOptions(), plain_config);
   auto base = plain.Route(from, to, 8 * 3600.0, budget);
   ASSERT_TRUE(base.ok());
 
+  ThreadPool pool(4);
   RouterConfig config;
-  config.num_threads = 4;
+  config.pool = &pool;
   config.pruning = AllPruners();
   DfsStochasticRouter pruned(graph_, wp_, EstimateOptions(), config);
   for (int rep = 0; rep < 3; ++rep) {
@@ -250,36 +249,10 @@ TEST_F(CityPruningTest, ParallelPrunedPreservesProbability) {
   }
 }
 
-TEST_F(CityPruningTest, StridedBudgetMatchesPerNodeCount) {
-  const VertexId from = 0;
-  const VertexId to = 30;
-  const double budget = MinTime(from, to) * 1.3;
-  std::vector<RouteResult> results;
-  for (size_t stride : {size_t{1}, size_t{64}, size_t{4096}}) {
-    RouterConfig config;
-    config.num_threads = 1;
-    config.expansion_stride = stride;
-    DfsStochasticRouter router(graph_, wp_, EstimateOptions(), config);
-    auto result = router.Route(from, to, 8 * 3600.0, budget);
-    ASSERT_TRUE(result.ok()) << "stride=" << stride;
-    ASSERT_FALSE(result.value().truncated);
-    results.push_back(std::move(result).value());
-  }
-  // Reserved-but-unused slots are never counted: every stride reports the
-  // identical per-node expansion tally and identical results.
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].expansions, results[0].expansions);
-    EXPECT_EQ(results[i].best_probability, results[0].best_probability);
-    EXPECT_EQ(results[i].best_path, results[0].best_path);
-    EXPECT_EQ(results[i].candidate_paths, results[0].candidate_paths);
-  }
-}
-
 TEST_F(CityPruningTest, TruncationKeepsExpansionInvariant) {
   for (bool with_pruning : {false, true}) {
     RouterConfig config;
     config.max_expansions = 50;
-    config.num_threads = 1;
     if (with_pruning) config.pruning = AllPruners();
     DfsStochasticRouter router(graph_, wp_, EstimateOptions(), config);
     const VertexId from = 0;
@@ -295,7 +268,6 @@ TEST_F(CityPruningTest, TruncationKeepsExpansionInvariant) {
 
 TEST_F(CityPruningTest, PruningRespectsCancellationAndDeadlines) {
   RouterConfig config;
-  config.num_threads = 1;
   config.pruning = AllPruners();
   DfsStochasticRouter router(graph_, wp_, EstimateOptions(), config);
   const VertexId from = 0;
@@ -363,14 +335,12 @@ struct DiamondFixture {
 TEST(IncumbentPruningTest, CutsBranchesThatCannotBeatTheIncumbent) {
   DiamondFixture f;
   RouterConfig plain_config;
-  plain_config.num_threads = 1;
   DfsStochasticRouter plain(f.g, f.wp, EstimateOptions(), plain_config);
   auto base = plain.Route(f.s, f.t, 8 * 3600.0, 60 * 60.0);
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base.value().candidate_paths, 2u);
 
   RouterConfig config;
-  config.num_threads = 1;
   config.pruning.incumbent = true;
   DfsStochasticRouter pruned(f.g, f.wp, EstimateOptions(), config);
   // P1 (prob 1.0 within the hour) is found first; the P2 branch can then
@@ -432,14 +402,12 @@ struct DetourFixture {
 TEST(DominancePruningTest, CutsDominatedDetourPrefix) {
   DetourFixture f;
   RouterConfig plain_config;
-  plain_config.num_threads = 1;
   DfsStochasticRouter plain(f.g, f.wp, EstimateOptions(), plain_config);
   auto base = plain.Route(f.s, f.t, 8 * 3600.0, 2000.0);
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base.value().candidate_paths, 2u);  // direct + detour
 
   RouterConfig config;
-  config.num_threads = 1;
   config.pruning.dominance = true;
   DfsStochasticRouter pruned(f.g, f.wp, EstimateOptions(), config);
   auto result = pruned.Route(f.s, f.t, 8 * 3600.0, 2000.0);

@@ -1,9 +1,12 @@
 // Tests for the DFS stochastic router (Sec. 4.3 / Fig. 18): probability
 // maximization under a travel-time budget, risk-aware path choice (the
-// Fig. 1(a) scenario), pruning, and estimator interchangeability.
+// Fig. 1(a) scenario), pruning, estimator interchangeability, and the
+// parallel root fan-out on a caller-owned pool.
 #include <gtest/gtest.h>
 
 #include "baselines/methods.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/instantiation.h"
 #include "hist/histogram_nd.h"
 #include "roadnet/generators.h"
@@ -206,6 +209,68 @@ TEST_F(CityRoutingTest, EstimatorPoliciesInterchangeable) {
     ASSERT_TRUE(result.ok());
     EXPECT_GT(result.value().best_probability, 0.0);
   }
+}
+
+TEST(ParallelRoutingTest, RootFanOutMatchesSingleThreaded) {
+  // A 4x4 grid with per-edge unit variables: the root fan-out explores
+  // the two out-edges of the corner source as independent branches; the
+  // merged result must match the single-threaded run exactly (pruning is
+  // budget-driven, so the branch partition cannot change the answer).
+  constexpr int kSide = 4;
+  Graph g;
+  std::vector<VertexId> v;
+  for (int i = 0; i < kSide; ++i) {
+    for (int j = 0; j < kSide; ++j) {
+      v.push_back(g.AddVertex(1000.0 * i, 1000.0 * j));
+    }
+  }
+  Rng rng(11);
+  core::WeightFunctionBuilder wp_builder{TimeBinning(30.0)};
+  auto connect = [&](VertexId a, VertexId b) {
+    const EdgeId e = g.AddEdge(a, b, 1000.0, 13.9).value();
+    const double fast = rng.Uniform(60.0, 90.0);
+    InstantiatedVariable var;
+    var.path = Path({e});
+    var.interval = core::kAllDayInterval;
+    var.joint = HistogramND::FromHistogram1D(
+        Histogram1D::Make({{fast, fast + 30.0, 0.8},
+                           {fast + 60.0, fast + 120.0, 0.2}})
+            .value());
+    var.from_speed_limit = true;
+    wp_builder.Add(std::move(var));
+  };
+  for (int i = 0; i < kSide; ++i) {
+    for (int j = 0; j < kSide; ++j) {
+      if (i + 1 < kSide) connect(v[i * kSide + j], v[(i + 1) * kSide + j]);
+      if (j + 1 < kSide) connect(v[i * kSide + j], v[i * kSide + j + 1]);
+    }
+  }
+  const PathWeightFunction wp = std::move(wp_builder).Freeze();
+
+  ThreadPool pool(4);
+  RouterConfig parallel;
+  parallel.pool = &pool;
+  const DfsStochasticRouter router_seq(g, wp, EstimateOptions());
+  const DfsStochasticRouter router_par(g, wp, EstimateOptions(), parallel);
+  size_t compared = 0;
+  for (double budget_s : {500.0, 700.0, 900.0, 1200.0}) {
+    auto seq = router_seq.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
+    auto par = router_par.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
+    ASSERT_EQ(seq.ok(), par.ok()) << budget_s;
+    if (!seq.ok()) continue;
+    EXPECT_FALSE(seq.value().truncated);
+    EXPECT_FALSE(par.value().truncated);
+    EXPECT_DOUBLE_EQ(seq.value().best_probability,
+                     par.value().best_probability)
+        << budget_s;
+    EXPECT_EQ(seq.value().best_path.edges(), par.value().best_path.edges())
+        << budget_s;
+    EXPECT_EQ(seq.value().candidate_paths, par.value().candidate_paths)
+        << budget_s;
+    EXPECT_EQ(seq.value().expansions, par.value().expansions) << budget_s;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

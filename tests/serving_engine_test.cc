@@ -309,6 +309,61 @@ TEST_F(ServingEngineTest, BatchMatchesSequentialAcrossWorkerCounts) {
   }
 }
 
+TEST_F(ServingEngineTest, BatchResponsesEqualSingleEstimates) {
+  // Estimate and EstimateBatch share one serve body: batch response i must
+  // equal Estimate(request i) field for field, breakdown and cache flag
+  // included. The batch runs on a 4-thread engine and the singles on a
+  // twin 1-thread engine, each with its own cache, so both see the same
+  // miss-then-hit sequence across the two rounds.
+  auto open = [](size_t num_threads) {
+    EngineOptions options;
+    options.model_path = artifact_;
+    options.graph = graph_;
+    options.num_threads = num_threads;
+    auto engine = Engine::Open(std::move(options));
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? std::move(engine).value() : nullptr;
+  };
+  auto batch_engine = open(4);
+  auto single_engine = open(1);
+  ASSERT_NE(batch_engine, nullptr);
+  ASSERT_NE(single_engine, nullptr);
+  std::vector<EstimateRequest> requests;
+  for (auto [from, to] : {std::pair<VertexId, VertexId>{0, 30},
+                          {5, 40},
+                          {2, 61},
+                          {0, 60}}) {
+    EstimateRequest request = WithDistribution(PathSpec::OdPair(from, to));
+    request.budget_seconds = 900.0;
+    request.want_breakdown = true;
+    requests.push_back(std::move(request));
+  }
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "cache warm" : "cache cold");
+    auto batched = batch_engine->EstimateBatch(requests);
+    ASSERT_EQ(batched.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto single = single_engine->Estimate(requests[i]);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+      const EstimateResponse& b = batched[i].value();
+      const EstimateResponse& s = single.value();
+      EXPECT_TRUE(b.summary.ExactlyEquals(s.summary)) << "request " << i;
+      EXPECT_TRUE(b.distribution->BitIdentical(*s.distribution))
+          << "request " << i;
+      EXPECT_EQ(b.resolved_path, s.resolved_path) << "request " << i;
+      EXPECT_EQ(b.served_from_cache, warm) << "request " << i;
+      EXPECT_EQ(b.served_from_cache, s.served_from_cache) << "request " << i;
+      EXPECT_GT(b.breakdown.parts, 0u) << "request " << i;
+      EXPECT_EQ(b.breakdown.parts, s.breakdown.parts) << "request " << i;
+      EXPECT_EQ(b.breakdown.cache_hit, s.breakdown.cache_hit)
+          << "request " << i;
+      EXPECT_EQ(b.model_fingerprint, s.model_fingerprint) << "request " << i;
+      EXPECT_EQ(b.epoch, s.epoch) << "request " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Routing through the Engine
 // ---------------------------------------------------------------------------
@@ -328,10 +383,8 @@ TEST_F(ServingEngineTest, RouteMatchesDirectlyWiredRouter) {
   auto response = engine->Route(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
 
-  routing::RouterConfig config;
-  config.num_threads = 1;
   routing::DfsStochasticRouter direct(*graph_, engine->model(),
-                                      engine->options().estimate, config);
+                                      engine->options().estimate);
   auto expected = direct.Route(from, to, kDepart, min_time * 1.3);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(response.value().best_path, expected.value().best_path);

@@ -1,10 +1,13 @@
-// Tests for the work-stealing thread pool behind EstimateBatch and the
+// Tests for the fork-join thread pool behind Engine::EstimateBatch and the
 // routing root fan-out. Build with -DPCDE_SANITIZE=address (or thread) to
 // exercise the pool under a sanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -12,19 +15,6 @@
 
 namespace pcde {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> ran(kTasks);
-  for (auto& r : ran) r.store(0);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&ran, i] { ran[i].fetch_add(1); });
-  }
-  pool.Wait();
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
-}
 
 TEST(ThreadPoolTest, ParallelForCoversTheRange) {
   ThreadPool pool(3);
@@ -37,38 +27,17 @@ TEST(ThreadPoolTest, ParallelForCoversTheRange) {
   EXPECT_EQ(total, kN * (kN + 1) / 2);
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&pool, &count] {
-      count.fetch_add(1);
-      for (int j = 0; j < 5; ++j) {
-        pool.Submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  pool.Wait();  // must include the nested tasks
-  EXPECT_EQ(count.load(), 10 + 10 * 5);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (batch + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
+TEST(ThreadPoolTest, SingleThreadPoolRunsEveryItemOnTheCaller) {
   ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> count{0};
-  pool.ParallelFor(100, [&count](size_t) { count.fetch_add(1); });
+  std::atomic<int> elsewhere{0};
+  pool.ParallelFor(100, [&](size_t) {
+    count.fetch_add(1);
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
   EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
@@ -77,18 +46,6 @@ TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
   std::atomic<int> count{0};
   pool.ParallelFor(8, [&count](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    // No explicit Wait: the destructor must finish the queue first.
-  }
-  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallersShareOnePool) {
@@ -147,8 +104,7 @@ TEST(ThreadPoolTest, ParallelForCancelledBeforeStartRunsNothing) {
   token.Cancel();
   std::atomic<int> count{0};
   // A tripped token drains the whole range without invoking fn — and the
-  // call still returns (done-accounting reaches n even when every index is
-  // claimed-but-skipped).
+  // call still returns.
   pool.ParallelFor(100, [&count](size_t) { count.fetch_add(1); }, &token);
   EXPECT_EQ(count.load(), 0);
   // Single-item inline path honours the token too.
@@ -190,17 +146,93 @@ TEST(ThreadPoolTest, ParallelForNullTokenMatchesPlainOverload) {
   EXPECT_EQ(sum.load(), 255u * 256u / 2u);
 }
 
-TEST(TwoPoolsTest, CrossPoolSubmissionLandsInTheRightPool) {
-  // A worker of pool A submitting into pool B must not index into B's
-  // queues with A's worker slot.
-  ThreadPool a(2), b(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    a.Submit([&b, &count] { b.Submit([&count] { count.fetch_add(1); }); });
+TEST(ThreadPoolTest, OneCallRunsOnAtMostNumThreadsIncludingTheCaller) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  pool.ParallelFor(64, [&](size_t) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      threads.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    running.fetch_sub(1);
+  });
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 3);
+  EXPECT_LE(threads.size(), 3u);
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnTheSamePoolCompletes) {
+  // An item may fan out on the pool it runs on: the inner call's caller
+  // runs its own items, so it completes even with every worker busy in
+  // the outer call.
+  ThreadPool pool(3);
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<std::atomic<int>> inner_done(kOuter);
+  for (auto& d : inner_done) d.store(0);
+  pool.ParallelFor(kOuter, [&](size_t i) {
+    pool.ParallelFor(kInner, [&inner_done, i](size_t) {
+      inner_done[i].fetch_add(1);
+    });
+    // The inner call returned: all of its items are done.
+    EXPECT_EQ(inner_done[i].load(), static_cast<int>(kInner)) << i;
+  });
+  for (size_t i = 0; i < kOuter; ++i) {
+    EXPECT_EQ(inner_done[i].load(), static_cast<int>(kInner)) << i;
   }
-  a.Wait();
-  b.Wait();
-  EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPoolTest, CallersRunOnlyTheirOwnItems) {
+  // Two clients share a ThreadPool(2) for about half a second, one looping
+  // 200-item calls and the other 2-item calls. A worker may help either,
+  // but no item of one caller may run on the other caller's thread.
+  ThreadPool pool(2);
+  std::atomic<bool> stop{false};
+  std::atomic<std::thread::id> big_id{};
+  std::atomic<std::thread::id> small_id{};
+  std::atomic<int> big_on_small{0};
+  std::atomic<int> small_on_big{0};
+  std::atomic<int> big_calls{0};
+  std::atomic<int> small_calls{0};
+  std::thread big([&] {
+    big_id.store(std::this_thread::get_id());
+    while (!stop.load()) {
+      pool.ParallelFor(200, [&](size_t) {
+        if (std::this_thread::get_id() == small_id.load()) {
+          big_on_small.fetch_add(1);
+        }
+      });
+      big_calls.fetch_add(1);
+    }
+  });
+  std::thread small([&] {
+    small_id.store(std::this_thread::get_id());
+    while (!stop.load()) {
+      pool.ParallelFor(2, [&](size_t) {
+        if (std::this_thread::get_id() == big_id.load()) {
+          small_on_big.fetch_add(1);
+        }
+      });
+      small_calls.fetch_add(1);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  stop.store(true);
+  big.join();
+  small.join();
+  EXPECT_GT(big_calls.load(), 0);
+  EXPECT_GT(small_calls.load(), 0);
+  EXPECT_EQ(big_on_small.load(), 0);
+  EXPECT_EQ(small_on_big.load(), 0);
 }
 
 }  // namespace
