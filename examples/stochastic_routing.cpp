@@ -38,7 +38,10 @@ int main() {
   }
   const ScopedFileRemover cleanup(artifact);
 
-  // A cross-town query during the morning rush.
+  // A cross-town query during the morning rush, with a budget of the
+  // free-flow time: tight enough that every search below finishes well
+  // under the expansion cap, so each row is an exact answer rather than an
+  // anytime cutoff (at 1.1 x free flow the plain searches hit the cap).
   serving::RouteRequest request;
   request.from = 5;
   request.to = static_cast<roadnet::VertexId>(g.NumVertices() / 2 + 9);
@@ -48,14 +51,15 @@ int main() {
     std::printf("unreachable pair\n");
     return 1;
   }
-  request.budget_seconds = min_time * 1.2;
+  request.budget_seconds = min_time;
   request.departure_time = traj::HoursToSeconds(8.0);
   std::printf("from v%u to v%u, depart 08:00, free-flow minimum %.0f s, "
               "budget %.0f s\n\n",
               request.from, request.to, min_time, request.budget_seconds);
 
   TableWriter table({"estimator", "P(on time)", "|path|", "expansions",
-                     "candidates", "time (ms)"});
+                     "candidates", "truncated", "time (ms)"});
+  bool all_exact = true;
   for (auto [name, policy, cap] :
        {std::tuple<const char*, core::DecompositionPolicy, size_t>{
             "OD-DFS", core::DecompositionPolicy::kCoarsest, 0},
@@ -77,19 +81,28 @@ int main() {
     auto response = engine.value()->Route(request);
     const double ms = watch.ElapsedMillis();
     if (!response.ok()) {
-      table.AddRow({name, "-", "-", "-", "-", TableWriter::Num(ms, 1)});
+      std::printf("%s: Route failed: %s\n", name,
+                  response.status().ToString().c_str());
+      table.AddRow({name, "-", "-", "-", "-", "-", TableWriter::Num(ms, 1)});
+      all_exact = false;
       continue;
     }
+    all_exact = all_exact && !response.value().truncated;
     table.AddRow(
         {name, TableWriter::Num(response.value().on_time_probability, 4),
          std::to_string(response.value().best_path.size()),
          std::to_string(response.value().expansions),
          std::to_string(response.value().candidate_paths),
-         TableWriter::Num(ms, 1)});
+         response.value().truncated ? "yes" : "no", TableWriter::Num(ms, 1)});
   }
   table.Print();
+  if (!all_exact) {
+    std::printf("\nFAIL: a search failed or stopped at the expansion cap, "
+                "so its row is not the most probable path.\n");
+    return 1;
+  }
   std::printf("\nThe same DFS algorithm runs with each estimator plugged\n"
-              "in; the hybrid graph both changes the probability estimates\n"
-              "(dependence-aware) and accelerates the search.\n");
+              "in; every search finished under the expansion cap, so each\n"
+              "row is the most probable path under that estimator.\n");
   return 0;
 }

@@ -27,10 +27,11 @@
 #      temp files, and never corrupt or leak a served response.
 #   2. Optional Debug + TSan build (skipped with a notice when the
 #      toolchain can't produce one) running the thread pool, admission,
-#      overload-chaos, routing-pruning, and fault-sweep suites — the
-#      lock-order/data-race angle on the same cancellation and shedding
-#      machinery plus the shared-incumbent / strided-budget atomics and
-#      the armed-injector / retrying-swap paths.
+#      overload-chaos, routing, routing-pruning, and fault-sweep suites —
+#      the lock-order/data-race angle on the same cancellation and shedding
+#      machinery plus the shared-incumbent / strided-budget atomics, the
+#      root fan-out's pool threads reading Route's per-call bound vectors,
+#      and the armed-injector / retrying-swap paths.
 #   3. Release with SIMD on — the production configuration.
 #   4. End-to-end examples in Release, all served through serving::Engine:
 #      quickstart, data_pipeline, and od_query each build -> save -> reload
@@ -45,7 +46,10 @@
 #      serves the same OD batch sharded vs monolithic — in-shard answers
 #      must be bit-identical, cross-shard answers stitched within
 #      tolerance with honest provenance, and the largest resident shard
-#      strictly below the monolithic footprint.
+#      strictly below the monolithic footprint; airport_deadline costs two
+#      paths against a deadline; stochastic_routing routes one query with
+#      the OD, HP and LB estimators and exits nonzero if any search fails
+#      or stops at its expansion cap.
 #   5. scripts/run_benches.sh-equivalent perf record, then
 #      scripts/check_gates.py checks it against bench/gates.txt: one row
 #      per gate with its key, comparison, default threshold, PCDE_CI_*
@@ -82,7 +86,7 @@ echo "=== [1/5] Pruned-routing gate (pruner quality parity under ASan) ==="
 echo "=== [1/5] Fault-sweep gate (per-site durability fault injection under ASan) ==="
 ./build-asan/fault_sweep_test
 
-echo "=== [2/5] Optional Debug + TSan build (thread pool, admission, chaos) ==="
+echo "=== [2/5] Optional Debug + TSan build (thread pool, admission, chaos, routing) ==="
 # Not every toolchain in the build matrix ships a working TSan runtime
 # (some libc/arch combinations can't even link it), so this step probes
 # first and skips with a notice instead of failing the gate.
@@ -90,12 +94,13 @@ if cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=thread \
         -DPCDE_SIMD=OFF -DPCDE_BUILD_BENCHES=OFF -DPCDE_BUILD_EXAMPLES=OFF \
         > build-tsan-configure.log 2>&1 \
    && cmake --build build-tsan -j --target thread_pool_test admission_test \
-        overload_chaos_test routing_pruning_test fault_sweep_test \
+        overload_chaos_test routing_test routing_pruning_test fault_sweep_test \
         > build-tsan-build.log 2>&1 \
    && ./build-tsan/thread_pool_test --gtest_brief=1 > /dev/null 2>&1; then
   ./build-tsan/thread_pool_test
   ./build-tsan/admission_test
   ./build-tsan/overload_chaos_test
+  ./build-tsan/routing_test
   ./build-tsan/routing_pruning_test
   ./build-tsan/fault_sweep_test
 else
@@ -113,6 +118,8 @@ echo "=== [4/5] Examples end-to-end (build -> save -> reload -> serve via Engine
 ./build-release/example_od_query
 ./build-release/example_model_refresh
 ./build-release/example_sharded_serving
+./build-release/example_airport_deadline
+./build-release/example_stochastic_routing
 
 echo "=== [5/5] Perf gates (bench/gates.txt) ==="
 ./build-release/bench_chain_micro BENCH_chain.json "$REPS"

@@ -14,6 +14,12 @@ namespace {
 /// bucket-array slot.
 constexpr size_t kEntryOverheadBytes = 160;
 
+/// MakeKey's departure-time bucket index, before the cast to int64_t.
+double DepartureBucket(double departure_time, double time_bucket_seconds) {
+  const double width = time_bucket_seconds > 0.0 ? time_bucket_seconds : 1.0;
+  return std::floor(departure_time / width);
+}
+
 }  // namespace
 
 size_t QueryCache::KeyHash::operator()(const Key& k) const {
@@ -65,9 +71,8 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
   // deliberately: it bounds how long an entry stays addressable as traffic
   // moves through the day, and stays correct if estimation ever becomes
   // time-dependent beyond decomposition choice.
-  const double width = time_bucket_seconds > 0.0 ? time_bucket_seconds : 1.0;
-  key.push_back(static_cast<uint64_t>(
-      static_cast<int64_t>(std::floor(departure_time / width))));
+  key.push_back(static_cast<uint64_t>(static_cast<int64_t>(
+      DepartureBucket(departure_time, time_bucket_seconds))));
   for (const DecompositionPart& part : de) {
     // Frozen variable ids, not addresses: stable across save/load, so the
     // same decomposition keys the same entry in every process serving this
@@ -76,6 +81,14 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
     key.push_back(part.start);
   }
   return key;
+}
+
+bool QueryCache::CanKeyDeparture(double departure_time,
+                                 double time_bucket_seconds) {
+  // 2^63 is exact in a double; NaN fails both comparisons.
+  constexpr double kInt64Bound = 9223372036854775808.0;
+  const double bucket = DepartureBucket(departure_time, time_bucket_seconds);
+  return bucket >= -kInt64Bound && bucket < kInt64Bound;
 }
 
 size_t QueryCache::EntryBytes(const Key& key,

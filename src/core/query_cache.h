@@ -86,6 +86,12 @@ class QueryCache {
                      double time_bucket_seconds, uint64_t options_fingerprint,
                      uint64_t model_fingerprint);
 
+  /// True when MakeKey can bucket `departure_time`: it is finite and
+  /// floor(departure_time / bucket width) fits int64_t. MakeKey's cast is
+  /// undefined behaviour for any other departure time.
+  static bool CanKeyDeparture(double departure_time,
+                              double time_bucket_seconds);
+
   /// True and fills *out (a copy of the cached histogram) on a hit.
   bool Lookup(const Key& key, hist::Histogram1D* out);
 

@@ -28,11 +28,12 @@ StatusOr<EdgeId> Graph::AddEdge(VertexId from, VertexId to, double length_m,
   if (from == to) {
     return Status::InvalidArgument("AddEdge: self loops are not road segments");
   }
-  if (length_m <= 0.0) {
-    return Status::InvalidArgument("AddEdge: non-positive length");
+  if (!(length_m > 0.0) || !std::isfinite(length_m)) {
+    return Status::InvalidArgument("AddEdge: non-positive or non-finite length");
   }
-  if (speed_limit_mps <= 0.0) {
-    return Status::InvalidArgument("AddEdge: non-positive speed limit");
+  if (!(speed_limit_mps > 0.0) || !std::isfinite(speed_limit_mps)) {
+    return Status::InvalidArgument(
+        "AddEdge: non-positive or non-finite speed limit");
   }
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{id, from, to, length_m, speed_limit_mps, road_class});

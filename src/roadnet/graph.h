@@ -60,8 +60,8 @@ class Graph {
 
   VertexId AddVertex(double x, double y);
 
-  /// Adds a directed edge. Returns InvalidArgument for unknown endpoints or
-  /// non-positive length.
+  /// Adds a directed edge. Returns InvalidArgument for unknown endpoints, a
+  /// self loop, or a length or speed limit that is not positive and finite.
   StatusOr<EdgeId> AddEdge(VertexId from, VertexId to, double length_m,
                            double speed_limit_mps,
                            RoadClass road_class = RoadClass::kResidential);

@@ -104,7 +104,7 @@ std::vector<double> ShortestPathTree(const Graph& g, VertexId from,
     const QueueEntry top = queue.top();
     queue.pop();
     if (top.cost > dist[top.vertex]) continue;
-    if (top.cost > max_cost) continue;
+    if (top.cost > max_cost) break;  // everything left costs more
     for (EdgeId e : g.OutEdges(top.vertex)) {
       const Edge& edge = g.edge(e);
       const double next = top.cost + weight(edge);
@@ -118,7 +118,8 @@ std::vector<double> ShortestPathTree(const Graph& g, VertexId from,
 }
 
 std::vector<double> ReverseShortestPathTree(const Graph& g, VertexId to,
-                                            const EdgeWeightFn& weight) {
+                                            const EdgeWeightFn& weight,
+                                            double max_cost) {
   std::vector<double> dist(g.NumVertices(), kInfCost);
   MinQueue queue;
   dist[to] = 0.0;
@@ -127,6 +128,7 @@ std::vector<double> ReverseShortestPathTree(const Graph& g, VertexId to,
     const QueueEntry top = queue.top();
     queue.pop();
     if (top.cost > dist[top.vertex]) continue;
+    if (top.cost > max_cost) break;  // everything left costs more
     for (EdgeId e : g.InEdges(top.vertex)) {
       const Edge& edge = g.edge(e);
       const double next = top.cost + weight(edge);

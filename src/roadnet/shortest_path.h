@@ -39,15 +39,25 @@ double ShortestPathCost(const Graph& g, VertexId from, VertexId to,
                         double max_cost = kInfCost);
 
 /// \brief One-to-all costs from `from`; entry is kInfCost when unreachable.
-/// Searches only vertices within `max_cost` when finite.
+///
+/// A finite `max_cost` stops the search at the first settled cost above
+/// it. Entries at or below `max_cost` are then exactly the unbounded
+/// tree's, bit for bit. Every other entry is above `max_cost`: the cost of
+/// some path the search found but did not settle (not necessarily the
+/// shortest), or kInfCost when the search never reached the vertex, which
+/// no longer implies that it is unreachable.
 std::vector<double> ShortestPathTree(const Graph& g, VertexId from,
                                      const EdgeWeightFn& weight,
                                      double max_cost = kInfCost);
 
 /// \brief All-to-one costs into `to` (runs Dijkstra on reversed edges);
 /// this is the admissible lower bound used by the stochastic router.
+/// `max_cost` bounds the search exactly as in ShortestPathTree: entries at
+/// or below it are exact, every other entry is above it or kInfCost, and
+/// kInfCost no longer implies that `to` is unreachable.
 std::vector<double> ReverseShortestPathTree(const Graph& g, VertexId to,
-                                            const EdgeWeightFn& weight);
+                                            const EdgeWeightFn& weight,
+                                            double max_cost = kInfCost);
 
 }  // namespace roadnet
 }  // namespace pcde

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -233,6 +234,44 @@ void Dfs(SearchContext* ctx, const IncrementalEstimator& estimator,
   }
 }
 
+/// Makes a completion bound searched only out to `budget` read like the
+/// full reverse tree wherever the search compares it with the budget.
+/// Entries at or below the budget are already exact. The bounded search
+/// left every other vertex at a tentative cost above the budget or, where
+/// it never got, at kInfCost, which then no longer means "cannot reach the
+/// destination". A heap-free reverse reachability sweep from the vertices
+/// it stopped at restores that meaning: every vertex that can reach the
+/// destination reads as the smallest cost above the budget the search
+/// met, which still bounds its true cost from below, and kInfCost is left
+/// only where the destination is unreachable. Graph::AddEdge admits only
+/// finite lengths and speed limits, so every edge has a finite weight and
+/// reachability is exactly what the full search would have found. When
+/// the search ran out of vertices before the budget, nothing lies above
+/// it and the sweep does nothing.
+void SettleBeyondBudget(const Graph& graph, double budget,
+                        std::vector<double>* bound) {
+  std::vector<double>& b = *bound;
+  double beyond = roadnet::kInfCost;
+  std::vector<VertexId> stack;
+  for (VertexId v = 0; v < b.size(); ++v) {
+    if (b[v] > budget && b[v] != roadnet::kInfCost) {
+      beyond = std::min(beyond, b[v]);
+      stack.push_back(v);
+    }
+  }
+  for (VertexId v : stack) b[v] = beyond;
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    for (EdgeId e : graph.InEdges(v)) {
+      const VertexId u = graph.edge(e).from;
+      if (b[u] != roadnet::kInfCost) continue;
+      b[u] = beyond;
+      stack.push_back(u);
+    }
+  }
+}
+
 }  // namespace
 
 StatusOr<RouteResult> DfsStochasticRouter::Route(
@@ -242,18 +281,35 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     return Status::InvalidArgument("Route: unknown vertex");
   }
   if (from == to) return Status::InvalidArgument("Route: from == to");
+  // Every bound check compares with the budget, and a NaN or infinite
+  // budget would fail them all: the search would run to the expansion cap.
+  if (!std::isfinite(budget_seconds) || !std::isfinite(departure_time)) {
+    return Status::InvalidArgument(
+        "Route: budget and departure time must be finite");
+  }
   if (CancelToken::Check(cancel)) return CancelToken::StatusOf(cancel);
 
   const PruningOptions& prune =
       pruning_override != nullptr ? *pruning_override : config_.pruning;
+  const bool use_oracle = (prune.incumbent || prune.dominance) &&
+                          oracle_weight_seconds_.size() == graph_.NumEdges();
 
-  // Admissible completion bound: reverse Dijkstra on scaled free-flow times.
+  // Admissible completion bound: reverse Dijkstra on scaled free-flow
+  // times. Both completion bounds are searched only out to the budget:
+  // support minima are travel times, never negative, so the search prunes
+  // every vertex beyond the budget whatever its exact bound, and
+  // SettleBeyondBudget tells those apart from vertices that cannot reach
+  // the destination. With the oracle driving the search, this bound is
+  // read only at `from`, so only an unreached `from` needs the sweep.
   const double factor = config_.lower_bound_factor;
   auto optimistic = [factor](const roadnet::Edge& e) {
     return e.FreeFlowSeconds() * factor;
   };
-  const std::vector<double> lower_bound =
-      roadnet::ReverseShortestPathTree(graph_, to, optimistic);
+  std::vector<double> lower_bound = roadnet::ReverseShortestPathTree(
+      graph_, to, optimistic, budget_seconds);
+  if (!use_oracle || lower_bound[from] == roadnet::kInfCost) {
+    SettleBeyondBudget(graph_, budget_seconds, &lower_bound);
+  }
   if (lower_bound[from] == roadnet::kInfCost) {
     return Status::NotFound("Route: destination unreachable");
   }
@@ -262,21 +318,20 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   }
 
   // With incumbent or dominance pruning on, the search swaps in the
-  // shared lower-bound oracle (constructor): the same reverse Dijkstra
-  // over per-edge weights that fold in the model's unit support minima.
-  // The tighter bound stays admissible, so the extra cuts remove only
-  // prefixes whose every completion exceeds the budget with certainty
+  // shared lower-bound oracle (constructor): the same bounded reverse
+  // Dijkstra over per-edge weights that fold in the model's unit support
+  // minima. The tighter bound stays admissible, so the extra cuts remove
+  // only prefixes whose every completion exceeds the budget with certainty
   // (arrival probability exactly zero) — the returned route and its
   // probability are unchanged. The feasibility preconditions above stay
   // on the baseline tree so NotFound reporting matches the plain search.
   std::vector<double> oracle_bound;
-  const bool use_oracle = (prune.incumbent || prune.dominance) &&
-                          oracle_weight_seconds_.size() == graph_.NumEdges();
   if (use_oracle) {
     oracle_bound = roadnet::ReverseShortestPathTree(
-        graph_, to, [this](const roadnet::Edge& e) {
-          return oracle_weight_seconds_[e.id];
-        });
+        graph_, to,
+        [this](const roadnet::Edge& e) { return oracle_weight_seconds_[e.id]; },
+        budget_seconds);
+    SettleBeyondBudget(graph_, budget_seconds, &oracle_bound);
   }
   const std::vector<double>& search_bound =
       use_oracle ? oracle_bound : lower_bound;

@@ -7,6 +7,10 @@
 // edge" with an IncrementalEstimator, and prunes a prefix when even its
 // fastest possible completion (prefix support minimum + admissible
 // reverse-Dijkstra lower bound to the destination) exceeds the budget.
+// Each call searches that reverse Dijkstra only out to the budget: a
+// vertex beyond it is pruned whatever its exact bound, so the search
+// needs exact bounds only within the budget, plus, beyond it, whether a
+// vertex can reach the destination at all.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +84,8 @@ class DfsStochasticRouter {
 
   /// Finds the path from `from` to `to`, departing at `departure_time`,
   /// with the highest probability of total travel time <= `budget_seconds`.
-  /// Returns NotFound when no path can make the budget.
+  /// Returns NotFound when no path can make the budget, and
+  /// InvalidArgument when the budget or the departure time is not finite.
   ///
   /// `cancel` (optional) is polled once per DFS expansion across every root
   /// branch; a tripped token makes the whole search unwind with the token's
@@ -104,9 +109,10 @@ class DfsStochasticRouter {
   /// Shared lower-bound oracle (built once in the constructor): per edge,
   /// the larger of factor * free-flow and the minimum support cost over
   /// the edge's unit variables — still admissible, usually much tighter.
-  /// Route() runs its reverse Dijkstra over these weights when incumbent
-  /// or dominance pruning is on; cuts from the tighter bound remove only
-  /// zero-probability completions, so route quality is unchanged.
+  /// Route() runs its reverse Dijkstra over these weights, out to the
+  /// budget, when incumbent or dominance pruning is on; cuts from the
+  /// tighter bound remove only zero-probability completions, so route
+  /// quality is unchanged.
   std::vector<double> oracle_weight_seconds_;
 };
 

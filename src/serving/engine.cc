@@ -428,6 +428,18 @@ const CancelToken* SetupCancel(double timeout_seconds,
   return &storage->value();
 }
 
+/// Rejects a departure time the query cache cannot bucket: not finite, or
+/// so far from zero that its bucket index overflows int64_t. The
+/// estimator would otherwise answer it from the all-day fallback
+/// variables, as if it were a real time of day.
+Status CheckDeparture(double departure_time, double time_bucket_seconds) {
+  if (core::QueryCache::CanKeyDeparture(departure_time, time_bucket_seconds)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "departure time is not finite or outside the cache's bucket range");
+}
+
 }  // namespace
 
 StatusOr<EstimateResponse> Engine::Serve(
@@ -443,6 +455,8 @@ StatusOr<EstimateResponse> Engine::Serve(
   std::optional<CancelToken> deadline_token;
   const CancelToken* cancel =
       SetupCancel(request.timeout_seconds, request.cancel, &deadline_token);
+  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
+                                    options_.cache_time_bucket_seconds));
   PCDE_ASSIGN_OR_RETURN(path, ResolvePath(request.path));
   core::EstimateBreakdown breakdown;
   core::FallbackProvenance provenance;
@@ -502,6 +516,8 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
     return Status::FailedPrecondition(
         "Engine::Route needs EngineOptions::graph");
   }
+  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
+                                    options_.cache_time_bucket_seconds));
   auto result = epoch->router->Route(
       request.from, request.to, request.departure_time,
       request.budget_seconds, cancel,

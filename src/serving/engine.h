@@ -299,7 +299,9 @@ class Engine {
   StatusOr<roadnet::Path> ResolvePath(const PathSpec& spec) const;
 
   /// One cost-distribution query end to end: resolve, estimate (through
-  /// the attached cache), summarize.
+  /// the attached cache), summarize. InvalidArgument when the departure
+  /// time is not finite or its cache time bucket does not fit int64_t
+  /// (core::QueryCache::CanKeyDeparture), with or without a cache.
   StatusOr<EstimateResponse> Estimate(const EstimateRequest& request) const;
 
   /// Many queries concurrently on the engine's shared pool; response i
@@ -315,7 +317,8 @@ class Engine {
 
   /// Probabilistic budget routing (Sec. 4.3) on the engine's stack: the
   /// DFS router runs with the engine's estimate options, query cache, and
-  /// shared pool. Requires options.graph.
+  /// shared pool. Requires options.graph. Rejects departure times as
+  /// Estimate does, and a budget that is not finite.
   StatusOr<RouteResponse> Route(const RouteRequest& request) const;
 
   /// Point-in-time snapshot of the overload counters (admission traffic,

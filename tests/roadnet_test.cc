@@ -2,6 +2,7 @@
 // (Sec. 2.1 examples), generators, spatial index, and shortest paths.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <unordered_set>
 
@@ -62,6 +63,12 @@ TEST(GraphTest, AddEdgeValidation) {
   EXPECT_FALSE(g.AddEdge(a, a, 100, 13.9).ok());    // self loop
   EXPECT_FALSE(g.AddEdge(a, b, -5, 13.9).ok());     // bad length
   EXPECT_FALSE(g.AddEdge(a, b, 100, 0.0).ok());     // bad speed
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(g.AddEdge(a, b, nan, 13.9).ok());     // non-finite length
+  EXPECT_FALSE(g.AddEdge(a, b, inf, 13.9).ok());
+  EXPECT_FALSE(g.AddEdge(a, b, 100, nan).ok());      // non-finite speed
+  EXPECT_FALSE(g.AddEdge(a, b, 100, inf).ok());
   EXPECT_TRUE(g.AddEdge(a, b, 100, 13.9).ok());
 }
 
@@ -356,6 +363,59 @@ TEST(ShortestPathTest, ReverseTreeMatchesForward) {
     const VertexId v = static_cast<VertexId>(
         rng.UniformInt(0, static_cast<int64_t>(g.NumVertices()) - 1));
     EXPECT_NEAR(rtree[v], ShortestPathCost(g, v, dest, weight), 1e-9);
+  }
+}
+
+/// A tree searched out to `max_cost` against the unbounded one: entries at
+/// or below `max_cost` (on either side) equal bit for bit, every other
+/// entry lies above it (kInfCost included), and unreachable stays kInfCost.
+void ExpectBoundedTreeMatches(const std::vector<double>& bounded,
+                              const std::vector<double>& full,
+                              double max_cost) {
+  ASSERT_EQ(bounded.size(), full.size());
+  for (size_t v = 0; v < full.size(); ++v) {
+    if (full[v] <= max_cost || bounded[v] <= max_cost) {
+      EXPECT_EQ(bounded[v], full[v]) << "vertex " << v << " max " << max_cost;
+    } else {
+      EXPECT_GT(bounded[v], max_cost) << "vertex " << v;
+    }
+    if (full[v] == kInfCost) {
+      EXPECT_EQ(bounded[v], kInfCost) << "vertex " << v;
+    }
+  }
+}
+
+TEST(ShortestPathTest, BoundedTreesMatchUnboundedWithinMaxCost) {
+  const Graph city = MakeCity(CityAConfig());
+  const auto city_weight = FreeFlowWeight(city);
+  for (VertexId root : {0u, 17u, 42u, 300u, 675u}) {
+    const auto forward = ShortestPathTree(city, root, city_weight);
+    const auto reverse = ReverseShortestPathTree(city, root, city_weight);
+    for (double max_cost : {-1.0, 0.0, 25.0, 60.0, 150.0, 400.0}) {
+      ExpectBoundedTreeMatches(
+          ShortestPathTree(city, root, city_weight, max_cost), forward,
+          max_cost);
+      ExpectBoundedTreeMatches(
+          ReverseShortestPathTree(city, root, city_weight, max_cost),
+          reverse, max_cost);
+    }
+  }
+
+  // Fig. 2(a): vg has no incoming edges, and an edge costs exactly
+  // 100 / 13.9 s, so max_cost can sit on an entry.
+  PaperGraph p;
+  const auto weight = FreeFlowWeight(p.g);
+  const double edge = 100.0 / 13.9;
+  for (VertexId root = 0; root < p.g.NumVertices(); ++root) {
+    const auto forward = ShortestPathTree(p.g, root, weight);
+    const auto reverse = ReverseShortestPathTree(p.g, root, weight);
+    for (double max_cost : {-1.0, 0.0, edge, 2.5 * edge, 10 * edge}) {
+      ExpectBoundedTreeMatches(ShortestPathTree(p.g, root, weight, max_cost),
+                               forward, max_cost);
+      ExpectBoundedTreeMatches(
+          ReverseShortestPathTree(p.g, root, weight, max_cost), reverse,
+          max_cost);
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 // parallel root fan-out on a caller-owned pool.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/methods.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -130,6 +132,105 @@ TEST(RouterTest, ProbabilityMonotoneInBudget) {
     ASSERT_TRUE(result.ok());
     EXPECT_GE(result.value().best_probability, prev - 1e-9);
     prev = result.value().best_probability;
+  }
+}
+
+/// A one-way graph for the completion-bound contract (free-flow seconds
+/// on each edge, every unit variable spanning [1, 1.2] x free flow):
+///   s -100-> a -100-> t    the route
+///   a -50-> d              one-way spur: d is a dead end, cannot reach t
+///   s -50-> c, a -50-> c   c reaches t only through b,
+///   c -100-> b -400-> t    whose long edge puts both beyond the budget
+/// Under a 260 s budget the DFS expands a, meets d (skipped: cannot reach
+/// t) and c (bound-pruned), and prunes the root s -> c at its first bound
+/// check.
+struct SpurFixture {
+  Graph g;
+  VertexId s, a, t, d, c, b;
+  EdgeId sa, at;
+  PathWeightFunction wp;
+
+  SpurFixture() : wp(BuildModel()) {}
+
+ private:
+  PathWeightFunction BuildModel() {
+    s = g.AddVertex(0, 0);
+    a = g.AddVertex(1000, 0);
+    t = g.AddVertex(2000, 0);
+    d = g.AddVertex(1000, 500);
+    c = g.AddVertex(500, -500);
+    b = g.AddVertex(1500, -500);
+    core::WeightFunctionBuilder builder{TimeBinning(30.0)};
+    auto connect = [&](VertexId from, VertexId to, double length_m) {
+      const EdgeId e = g.AddEdge(from, to, length_m, 10.0).value();
+      const double free_flow = length_m / 10.0;
+      InstantiatedVariable v;
+      v.path = Path({e});
+      v.interval = core::kAllDayInterval;
+      v.joint = HistogramND::FromHistogram1D(
+          Histogram1D::Make({{free_flow, 1.2 * free_flow, 1.0}}).value());
+      v.from_speed_limit = true;
+      builder.Add(std::move(v));
+      return e;
+    };
+    sa = connect(s, a, 1000);
+    at = connect(a, t, 1000);
+    connect(a, d, 500);
+    connect(a, c, 500);
+    connect(s, c, 500);
+    connect(c, b, 1000);
+    connect(b, t, 4000);
+    return std::move(builder).Freeze();
+  }
+};
+
+TEST(RouterBoundTest, SpurCountersAndNotFoundMessagesAreExact) {
+  SpurFixture f;
+  RouterConfig plain;
+  RouterConfig pruned;
+  pruned.pruning.incumbent = true;
+  pruned.pruning.dominance = true;
+  pruned.pruning.cheap_first = true;
+  for (const RouterConfig& config : {plain, pruned}) {
+    SCOPED_TRACE(config.pruning.incumbent ? "all pruners" : "no pruners");
+    DfsStochasticRouter router(f.g, f.wp, EstimateOptions(), config);
+    auto result = router.Route(f.s, f.t, 8 * 3600.0, 260.0);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const RouteResult& r = result.value();
+    EXPECT_EQ(r.best_path, Path({f.sa, f.at}));
+    EXPECT_EQ(r.best_probability, 1.0);
+    EXPECT_FALSE(r.truncated);
+    EXPECT_EQ(r.expansions, 2u);       // a, then t
+    EXPECT_EQ(r.candidate_paths, 1u);
+    EXPECT_EQ(r.bound_pruned, 2u);     // root s -> c, then a -> c
+    EXPECT_EQ(r.estimator_clones, 3u); // both roots, then a -> t
+    EXPECT_EQ(r.incumbent_pruned, 0u);
+    EXPECT_EQ(r.dominance_pruned, 0u);
+
+    auto dead_end = router.Route(f.d, f.t, 8 * 3600.0, 260.0);
+    EXPECT_EQ(dead_end.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(dead_end.status().message(), "Route: destination unreachable");
+    auto beyond = router.Route(f.c, f.t, 8 * 3600.0, 260.0);
+    EXPECT_EQ(beyond.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(beyond.status().message(),
+              "Route: budget infeasible even at free flow");
+  }
+}
+
+TEST(RouterBoundTest, NonFiniteBudgetOrDepartureIsInvalid) {
+  SpurFixture f;
+  DfsStochasticRouter router(f.g, f.wp, EstimateOptions());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double budget : {nan, inf, -inf}) {
+    EXPECT_EQ(router.Route(f.s, f.t, 8 * 3600.0, budget).status().code(),
+              StatusCode::kInvalidArgument)
+        << budget;
+  }
+  for (double departure : {nan, inf, -inf}) {
+    EXPECT_EQ(router.Route(f.s, f.t, departure, 260.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << departure;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -396,6 +397,49 @@ TEST_F(ServingEngineTest, RouteMatchesDirectlyWiredRouter) {
   // Infeasible budgets surface the router's NotFound unchanged.
   request.budget_seconds = min_time * 0.1;
   EXPECT_EQ(engine->Route(request).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(ServingEngineTest, NonFiniteOrUnbucketableInputsAreInvalid) {
+  auto engine = OpenEngine(/*cache_bytes=*/size_t{1} << 20);
+  ASSERT_NE(engine, nullptr);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // 1e300 is finite, but its 300 s cache bucket does not fit int64_t.
+  std::vector<EstimateRequest> requests;
+  for (double departure : {nan, inf, -inf, 1e300}) {
+    EstimateRequest request = WithDistribution(PathSpec::OdPair(3, 200));
+    request.departure_time = departure;
+    EXPECT_EQ(engine->Estimate(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << departure;
+    requests.push_back(request);
+  }
+  requests.push_back(WithDistribution(PathSpec::OdPair(3, 200)));
+  auto responses = engine->EstimateBatch(requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i + 1 < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].status().code(), StatusCode::kInvalidArgument)
+        << "request " << i;
+  }
+  EXPECT_TRUE(responses.back().ok());
+
+  RouteRequest route;
+  route.from = 3;
+  route.to = 200;
+  route.departure_time = kDepart;
+  for (double budget : {nan, inf}) {
+    route.budget_seconds = budget;
+    EXPECT_EQ(engine->Route(route).status().code(),
+              StatusCode::kInvalidArgument)
+        << budget;
+  }
+  route.budget_seconds = 3600.0;
+  for (double departure : {nan, 1e300}) {
+    route.departure_time = departure;
+    EXPECT_EQ(engine->Route(route).status().code(),
+              StatusCode::kInvalidArgument)
+        << departure;
+  }
 }
 
 // ---------------------------------------------------------------------------
