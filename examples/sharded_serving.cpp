@@ -1,19 +1,17 @@
 // Sharded serving end to end: build one model from trajectories, compile
 // it into two per-region shards plus a PCDEMF1 manifest with
-// core::WriteModelShards, open the manifest through
-// serving::ShardedEngine, and serve the same OD batch through the sharded
-// front door and a monolithic Engine side by side. Requests whose resolved
-// path stays inside one shard must answer bit-identically to the
-// monolithic engine (CostSummary::ExactlyEquals) and carry the manifest
-// fingerprint; requests that cross the shard boundary are stitched
-// per-segment and must stay within the documented tolerance of the
-// monolithic mean while reporting honest provenance (degradation >=
-// kSubpath, covered_fraction in (0, 1]). The per-shard resident footprint
-// must come in strictly below the monolithic model. Any divergence exits
-// nonzero, so this example doubles as a CI gate.
+// core::WriteModelShards, open the manifest through serving::Engine, and
+// serve the same OD batch from the manifest and from the monolithic model
+// side by side. Every answer — whether its resolved path stays inside one
+// shard or crosses the boundary — must be bit-identical to the monolithic
+// engine's (CostSummary::ExactlyEquals) and carry the manifest
+// fingerprint, and one budget route must match field for field. The
+// per-shard resident footprint must come in strictly below the monolithic
+// model. Any divergence exits nonzero, so this example doubles as a CI
+// gate.
 #include <unistd.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -25,7 +23,7 @@
 #include "core/instantiation.h"
 #include "core/shard_writer.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
+#include "roadnet/shortest_path.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -92,20 +90,25 @@ int main() {
                 shard.file.c_str());
   }
 
-  // 3. The sharded front door opens the manifest (shards attach lazily on
-  //    first touch); the monolithic reference adopts the same model.
-  serving::ShardedEngineOptions sharded_options;
-  sharded_options.engine.graph = city.graph.get();
-  auto opened = serving::ShardedEngine::Open(manifest_path, sharded_options);
+  // 3. The engine opens the manifest like any model artifact (shards attach
+  //    when a request first needs them); the monolithic reference adopts
+  //    the same model.
+  serving::EngineOptions sharded_options;
+  sharded_options.model_path = manifest_path;
+  sharded_options.graph = city.graph.get();
+  // One thread each: the route comparison below then runs the sequential
+  // search, whose every counter is deterministic.
+  sharded_options.num_threads = 1;
+  auto opened = serving::Engine::Open(sharded_options);
   if (!opened.ok()) {
-    std::printf("ShardedEngine::Open failed: %s\n",
+    std::printf("Engine::Open on the manifest failed: %s\n",
                 opened.status().ToString().c_str());
     return 1;
   }
-  const std::unique_ptr<serving::ShardedEngine> sharded =
-      std::move(opened).value();
+  const std::unique_ptr<serving::Engine> sharded = std::move(opened).value();
   serving::EngineOptions mono_options;
   mono_options.graph = city.graph.get();
+  mono_options.num_threads = 1;
   auto mono_opened = serving::Engine::Open(std::move(model), mono_options);
   if (!mono_opened.ok()) {
     std::printf("monolithic Engine::Open failed: %s\n",
@@ -116,7 +119,8 @@ int main() {
 
   // 4. One OD batch through both engines. Requests are classified by where
   //    their resolved path falls relative to the shard boundary; both
-  //    classes must occur or the comparison proves nothing.
+  //    classes must occur or the comparison proves nothing, and both must
+  //    answer exactly as the monolithic model does.
   const double depart = 8 * 3600.0;
   size_t in_shard = 0, cross_shard = 0;
   for (size_t v = 0; v + 41 < city.graph->NumVertices(); v += 7) {
@@ -149,35 +153,12 @@ int main() {
         std::printf("sharded response lost the manifest fingerprint\n");
         return 1;
       }
-      if (!crosses) {
-        // In-shard: the owning shard holds the exact candidate set the
-        // monolithic model would use, so the answer is bit-identical.
-        if (!got.summary.ExactlyEquals(want.summary)) {
-          std::printf("in-shard OD %zu->%zu diverged from monolithic\n", v,
-                      v + span);
-          return 1;
-        }
-        ++in_shard;
-      } else {
-        // Cross-shard: stitched per segment — honest provenance plus a
-        // mean within the documented tolerance of the monolithic answer.
-        if (got.summary.degradation < core::DegradationLevel::kSubpath ||
-            got.summary.covered_fraction <= 0.0 ||
-            got.summary.covered_fraction > 1.0) {
-          std::printf("cross-shard OD %zu->%zu has dishonest provenance\n", v,
-                      v + span);
-          return 1;
-        }
-        const double tolerance = 0.25 * std::abs(want.summary.mean) + 1.0;
-        if (std::abs(got.summary.mean - want.summary.mean) > tolerance) {
-          std::printf(
-              "cross-shard OD %zu->%zu mean %.1f s is outside the stitch "
-              "tolerance of monolithic %.1f s\n",
-              v, v + span, got.summary.mean, want.summary.mean);
-          return 1;
-        }
-        ++cross_shard;
+      if (!got.summary.ExactlyEquals(want.summary)) {
+        std::printf("%s OD %zu->%zu diverged from monolithic\n",
+                    crosses ? "cross-shard" : "in-shard", v, v + span);
+        return 1;
       }
+      ++(crosses ? cross_shard : in_shard);
     }
   }
   if (in_shard == 0 || cross_shard == 0) {
@@ -186,25 +167,67 @@ int main() {
                 in_shard, cross_shard);
     return 1;
   }
-  const serving::EngineStats stats = sharded->stats();
   std::printf(
-      "served %zu in-shard ODs bit-identically and %zu cross-shard ODs "
-      "within tolerance (%llu cross-shard requests, %llu shard attaches)\n",
+      "served %zu in-shard and %zu cross-shard ODs bit-identically (%llu "
+      "shard attaches)\n",
       in_shard, cross_shard,
-      static_cast<unsigned long long>(stats.cross_shard_requests),
-      static_cast<unsigned long long>(stats.shard_attaches));
+      static_cast<unsigned long long>(sharded->stats().shard_attaches));
 
-  // 5. The point of sharding: no single process ever holds the whole
+  // 5. Routing reads shards along every path it explores: one budget route
+  //    across the boundary must match the monolithic search field for
+  //    field. Sampled travel beats free flow, so 0.95x the free-flow time
+  //    leaves a real on-time probability.
+  serving::RouteRequest route;
+  route.from = 343;
+  route.to = 384;
+  route.departure_time = depart;
+  route.budget_seconds =
+      0.95 * roadnet::ShortestPathCost(*city.graph, route.from, route.to,
+                                       roadnet::FreeFlowWeight(*city.graph));
+  auto routed = sharded->Route(route);
+  auto mono_routed = mono->Route(route);
+  if (!routed.ok() || !mono_routed.ok()) {
+    std::printf("route failed: sharded %s / mono %s\n",
+                routed.status().ToString().c_str(),
+                mono_routed.status().ToString().c_str());
+    return 1;
+  }
+  if (routed->best_path.edges() != mono_routed->best_path.edges() ||
+      routed->on_time_probability != mono_routed->on_time_probability ||
+      routed->expansions != mono_routed->expansions ||
+      routed->estimator_clones != mono_routed->estimator_clones) {
+    std::printf("route %u->%u diverged from monolithic\n", route.from,
+                route.to);
+    return 1;
+  }
+  std::vector<size_t> route_shards;
+  for (roadnet::EdgeId e : routed->best_path.edges()) {
+    route_shards.push_back(manifest.ShardOf(e));
+  }
+  std::sort(route_shards.begin(), route_shards.end());
+  const size_t crossed = static_cast<size_t>(
+      std::unique(route_shards.begin(), route_shards.end()) -
+      route_shards.begin());
+  std::printf("route %u->%u: P(on time) %.4f over %zu edges in %zu "
+              "shard(s), %zu expansions, same as monolithic\n",
+              route.from, route.to, routed->on_time_probability,
+              routed->best_path.size(), crossed, routed->expansions);
+
+  // 6. The point of sharding: no single process ever holds the whole
   //    model. The largest resident shard must undercut the monolithic
   //    footprint strictly.
-  const size_t max_shard = sharded->MaxShardResidentBytes();
+  const std::vector<size_t> shard_bytes = sharded->ResidentShardBytes();
+  size_t max_shard = 0;
+  size_t resident = 0;
+  for (size_t bytes : shard_bytes) {
+    max_shard = std::max(max_shard, bytes);
+    resident += bytes > 0 ? 1 : 0;
+  }
   const size_t mono_bytes = mono->model().ResidentBytes();
-  if (sharded->resident_shards() < sharded->num_shards() ||
-      max_shard >= mono_bytes) {
+  if (resident < shard_bytes.size() || max_shard >= mono_bytes) {
     std::printf("footprint gate failed: max shard %zu B vs monolithic %zu B "
                 "(%zu/%zu shards resident)\n",
-                max_shard, mono_bytes, sharded->resident_shards(),
-                sharded->num_shards());
+                max_shard, mono_bytes, resident, shard_bytes.size());
     return 1;
   }
   std::printf("footprint: max resident shard %.2f MB vs monolithic %.2f MB\n",

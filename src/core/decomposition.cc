@@ -17,7 +17,7 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
   array.departure_time = departure_time;
   array.rows.resize(query.size());
 
-  const TimeBinning& binning = wp_.binning();
+  const TimeBinning binning = view_.binning();
   // Eq. 3: UI_1 = [t, t]; UI_k = SAE(UI_{k-1}, V_{e_{k-1}}).
   Interval window(departure_time, departure_time);
   for (size_t k = 0; k < query.size(); ++k) {
@@ -30,7 +30,7 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
     // Spatially relevant variables starting at this row's edge; keep, per
     // rank, the temporally most relevant one (largest overlap ratio).
     std::vector<double> best_overlap(max_rank, 0.0);
-    for (const InstantiatedVariable* v : wp_.StartingAt(query[k])) {
+    for (const InstantiatedVariable* v : view_.StartingAt(query[k])) {
       const size_t r = v->rank();
       if (r == 0 || r > max_rank) continue;
       // Spatial relevance: the variable's path must be the query slice.
@@ -75,7 +75,7 @@ std::vector<uint8_t> DecompositionBuilder::UnitCoverage(
     const Path& query) const {
   std::vector<uint8_t> covered(query.size(), 0);
   for (size_t k = 0; k < query.size(); ++k) {
-    for (const InstantiatedVariable* v : wp_.StartingAt(query[k])) {
+    for (const InstantiatedVariable* v : view_.StartingAt(query[k])) {
       if (v->rank() == 1) {
         covered[k] = 1;
         break;

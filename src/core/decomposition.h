@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/weight_function.h"
+#include "core/model_view.h"
 #include "roadnet/path.h"
 
 namespace pcde {
@@ -53,10 +53,10 @@ struct DecompositionPart {
 using Decomposition = std::vector<DecompositionPart>;
 
 /// \brief Builds candidate arrays and decompositions against a weight
-/// function.
+/// function (one frozen model or a manifest's shards).
 class DecompositionBuilder {
  public:
-  explicit DecompositionBuilder(const PathWeightFunction& wp) : wp_(wp) {}
+  explicit DecompositionBuilder(ModelView view) : view_(view) {}
 
   /// \brief The candidate array: for every row (edge position) the
   /// spatially relevant variables (paths that are sub-paths of the query
@@ -101,7 +101,7 @@ class DecompositionBuilder {
   static bool IsCoarser(const Decomposition& a, const Decomposition& b);
 
  private:
-  const PathWeightFunction& wp_;
+  ModelView view_;
 };
 
 }  // namespace core

@@ -56,8 +56,7 @@ StatusOr<Histogram1D> HybridEstimator::EstimateCostDistribution(
   if (cache_ != nullptr) {
     key = QueryCache::MakeKey(de, departure_time,
                               cache_->options().time_bucket_seconds,
-                              QueryCache::Fingerprint(chain),
-                              wp_.fingerprint());
+                              QueryCache::Fingerprint(chain), view_);
     Histogram1D cached;
     if (cache_->Lookup(key, &cached)) {
       if (breakdown != nullptr) {
@@ -205,18 +204,17 @@ ChainOptions ChainOptionsFor(const EstimateOptions& options) {
 
 }  // namespace
 
-IncrementalEstimator::IncrementalEstimator(const PathWeightFunction& wp,
+IncrementalEstimator::IncrementalEstimator(ModelView view,
                                            EstimateOptions options,
                                            roadnet::EdgeId first_edge,
                                            double departure_time)
-    : wp_(wp),
+    : view_(view),
       options_(options),
       path_(std::vector<roadnet::EdgeId>{first_edge}),
-      departure_time_(departure_time),
       sweeper_(ChainOptionsFor(options)) {
   windows_.emplace_back(departure_time, departure_time);
   const InstantiatedVariable* unit =
-      wp_.UnitVariable(first_edge, windows_[0]);
+      view_.UnitVariable(first_edge, windows_[0]);
   if (unit != nullptr) {
     parts_.push_back(DecompositionPart{unit, 0});
     min_total_ += unit->joint.DimRange(0).lo;
@@ -275,7 +273,7 @@ Status IncrementalEstimator::ExtendByEdge(roadnet::EdgeId e) {
       options_.rank_cap > 0 ? std::min(options_.rank_cap, n) : n;
   const InstantiatedVariable* chosen = nullptr;
   size_t chosen_start = n - 1;
-  const TimeBinning& binning = wp_.binning();
+  const TimeBinning binning = view_.binning();
   for (size_t r = max_rank; r >= 1 && chosen == nullptr; --r) {
     const size_t start = n - r;
     // The new part absorbs trailing parts whose spans it contains (all
@@ -292,7 +290,7 @@ Status IncrementalEstimator::ExtendByEdge(roadnet::EdgeId e) {
     // Departure window at the candidate's start position (Eq. 3), kept
     // per edge as the path grows.
     const Interval& win = windows_[std::min(start, windows_.size() - 1)];
-    for (const InstantiatedVariable* v : wp_.StartingAt(extended[start])) {
+    for (const InstantiatedVariable* v : view_.StartingAt(extended[start])) {
       if (v->rank() != r) continue;
       bool spatial = true;
       for (size_t d = 0; d < r; ++d) {
@@ -332,7 +330,7 @@ Status IncrementalEstimator::ExtendByEdge(roadnet::EdgeId e) {
   // Maintain the pruning lower bound and the arrival window with the unit
   // variable of the new edge.
   const Interval& at_edge = windows_.back();
-  const InstantiatedVariable* unit = wp_.UnitVariable(e, at_edge);
+  const InstantiatedVariable* unit = view_.UnitVariable(e, at_edge);
   if (unit != nullptr) {
     min_total_ += unit->joint.DimRange(0).lo;
     windows_.emplace_back(at_edge.lo + unit->joint.DimRange(0).lo,
@@ -349,7 +347,7 @@ double IncrementalEstimator::MinTotalCostWithEdge(roadnet::EdgeId e) const {
   // Mirrors ExtendByEdge's min_total_ update exactly: the unit lookup uses
   // the same arrival window the extension would, so the value is what a
   // clone's MinTotalCost() would report after extending.
-  const InstantiatedVariable* unit = wp_.UnitVariable(e, windows_.back());
+  const InstantiatedVariable* unit = view_.UnitVariable(e, windows_.back());
   return min_total_ + (unit != nullptr ? unit->joint.DimRange(0).lo : 0.0);
 }
 
@@ -425,19 +423,6 @@ StatusOr<Histogram1D> IncrementalEstimator::CurrentDistribution() const {
   ChainOptions chain = ChainOptionsFor(options_);
   chain.force_independence = true;
   return EstimateFromDecomposition(parts_, chain);
-}
-
-StatusOr<Histogram1D> IncrementalEstimator::CurrentDistribution(
-    QueryCache* cache) const {
-  if (cache == nullptr) return CurrentDistribution();
-  const QueryCache::Key key = QueryCache::MakeKey(
-      parts_, departure_time_, cache->options().time_bucket_seconds,
-      QueryCache::Fingerprint(ChainOptionsFor(options_)), wp_.fingerprint());
-  Histogram1D cached;
-  if (cache->Lookup(key, &cached)) return cached;
-  auto result = CurrentDistribution();
-  if (result.ok()) cache->Insert(key, result.value());
-  return result;
 }
 
 }  // namespace core

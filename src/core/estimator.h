@@ -22,8 +22,8 @@
 #include "common/rng.h"
 #include "core/chain_estimator.h"
 #include "core/decomposition.h"
+#include "core/model_view.h"
 #include "core/query_cache.h"
-#include "core/weight_function.h"
 
 namespace pcde {
 namespace core {
@@ -81,22 +81,22 @@ struct EstimateBreakdown {
   ChainDiagnostics chain;
 };
 
-/// \brief Facade combining decomposition construction and Eq. 2 evaluation.
+/// \brief Facade combining decomposition construction and Eq. 2 evaluation,
+/// over one frozen model or a manifest's shards (core/model_view.h).
 class HybridEstimator {
  public:
-  explicit HybridEstimator(const PathWeightFunction& wp,
+  explicit HybridEstimator(ModelView view,
                            EstimateOptions options = EstimateOptions())
-      : wp_(wp), builder_(wp), options_(options) {}
+      : view_(view), builder_(view), options_(options) {}
 
   const EstimateOptions& options() const { return options_; }
-  const PathWeightFunction& weight_function() const { return wp_; }
 
   /// Attaches a shared result cache (see query_cache.h): subsequent
   /// estimations look up (decomposition, departure-time bucket) before
   /// sweeping the chain and insert on miss. Results are bit-identical with
   /// and without a cache (estimation is deterministic per decomposition).
-  /// Keys carry the model fingerprint and frozen variable ids, so one cache
-  /// may safely be shared across estimators — even over different weight
+  /// Keys carry the view's fingerprint and variable ids, so one cache may
+  /// safely be shared across estimators — even over different weight
   /// functions (entries simply never cross models), and entries stay valid
   /// across save/load of the same model artifact. Pass nullptr to detach.
   void set_query_cache(QueryCache* cache) { cache_ = cache; }
@@ -151,7 +151,7 @@ class HybridEstimator {
                                    double departure_time) const;
 
  private:
-  const PathWeightFunction& wp_;
+  ModelView view_;
   DecompositionBuilder builder_;
   EstimateOptions options_;
   QueryCache* cache_ = nullptr;  // not owned; thread-safe (sharded)
@@ -168,7 +168,7 @@ class HybridEstimator {
 /// incremental counterpart of Algorithm 1.
 class IncrementalEstimator {
  public:
-  IncrementalEstimator(const PathWeightFunction& wp, EstimateOptions options,
+  IncrementalEstimator(ModelView view, EstimateOptions options,
                        roadnet::EdgeId first_edge, double departure_time);
 
   /// Extends the current path by one adjacent edge.
@@ -179,13 +179,6 @@ class IncrementalEstimator {
   /// Cost distribution of the current path (finalizes a copy of the chain
   /// state; the estimator itself remains extendable).
   StatusOr<hist::Histogram1D> CurrentDistribution() const;
-
-  /// Cache-backed variant: looks the current decomposition up in `cache`
-  /// before finalizing and inserts on miss, so routing re-evaluating a
-  /// candidate path another query already costed (same parts, same
-  /// departure bucket) skips the chain replay. `cache == nullptr` degrades
-  /// to the plain overload.
-  StatusOr<hist::Histogram1D> CurrentDistribution(QueryCache* cache) const;
 
   /// Smallest possible total cost of the current path (for routing pruning).
   double MinTotalCost() const { return min_total_; }
@@ -238,10 +231,9 @@ class IncrementalEstimator {
   /// sums (nullptr unit = no per-position bounds: minimum 0, no maximum).
   void PushUnitBounds(const InstantiatedVariable* unit);
 
-  const PathWeightFunction& wp_;
+  ModelView view_;
   EstimateOptions options_;
   roadnet::Path path_;
-  double departure_time_;
   // Shift-and-enlarged departure window per edge position (Eq. 3);
   // windows_[k] is the arrival window at edge k, windows_.back() is the
   // window at the (not yet appended) next edge.

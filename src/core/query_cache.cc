@@ -61,10 +61,10 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
                                     double departure_time,
                                     double time_bucket_seconds,
                                     uint64_t options_fingerprint,
-                                    uint64_t model_fingerprint) {
+                                    const ModelView& view) {
   Key key;
   key.reserve(3 + 2 * de.size());
-  key.push_back(model_fingerprint);
+  key.push_back(view.fingerprint());
   key.push_back(options_fingerprint);
   // The time bucket is strictly redundant today — the chain evaluation is a
   // pure function of (decomposition, options) — but it is kept in the key
@@ -77,7 +77,7 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
     // Frozen variable ids, not addresses: stable across save/load, so the
     // same decomposition keys the same entry in every process serving this
     // model artifact.
-    key.push_back(part.variable->id);
+    key.push_back(view.KeyId(*part.variable));
     key.push_back(part.start);
   }
   return key;

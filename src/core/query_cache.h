@@ -1,18 +1,18 @@
 // Sharded, memory-budgeted LRU cache of estimated cost distributions — the
 // batch-serving layer's memoization of repeated sub-path work. Identical
-// queries from different users (and identical candidate sub-paths explored
-// by stochastic routing) hit the same decomposition, and
+// queries from different users hit the same decomposition, and
 // EstimateFromDecomposition is deterministic in the decomposition and chain
 // options alone, so a cached histogram is bit-identical to a recomputation:
 // batch-with-cache equals sequential-without-cache result for result.
 //
-// Keys are the decomposition identity — the (frozen variable id, start)
-// sequence — plus the departure-time bucket, a fingerprint of the chain
-// options, and the weight function's content fingerprint. Frozen variable
-// ids are stable across save/load of the model artifact, so decomposition
-// fingerprints (and therefore cache entries) are addressable across
-// processes serving the same artifact; the model fingerprint turns a cache
-// shared across *different* models into misses instead of false hits.
+// Keys are the decomposition identity — the (variable id, start) sequence,
+// ids as core::ModelView::KeyId gives them — plus the departure-time
+// bucket, a fingerprint of the chain options, and the view's generation
+// fingerprint. Frozen variable ids are stable across save/load of the model
+// artifact, so decomposition fingerprints (and therefore cache entries) are
+// addressable across processes serving the same artifact; the generation
+// fingerprint turns a cache shared across *different* models into misses
+// instead of false hits.
 //
 // Shards are independent mutex-protected LRU lists, selected by key hash,
 // so concurrent EstimateBatch workers rarely contend; the byte budget is
@@ -29,6 +29,7 @@
 #include "common/lru.h"
 #include "core/chain_estimator.h"
 #include "core/decomposition.h"
+#include "core/model_view.h"
 #include "hist/histogram1d.h"
 
 namespace pcde {
@@ -61,10 +62,11 @@ struct QueryCacheStats {
 
 class QueryCache {
  public:
-  /// The exact cache identity of a query: the weight function's content
-  /// fingerprint (PathWeightFunction::fingerprint — identical across
-  /// save/load of one model), fingerprint of the chain options,
-  /// departure-time bucket, then (frozen variable id, start) per part.
+  /// The exact cache identity of a query: the view's generation
+  /// fingerprint (a single model's PathWeightFunction::fingerprint —
+  /// identical across save/load — or a manifest's), fingerprint of the
+  /// chain options, departure-time bucket, then (ModelView::KeyId, start)
+  /// per part.
   /// Keys are stored verbatim and compared exactly, so lookups within one
   /// model never false-hit; isolation *across* models rests on the 64-bit
   /// non-cryptographic content fingerprint (an accidental collision is
@@ -84,7 +86,7 @@ class QueryCache {
 
   static Key MakeKey(const Decomposition& de, double departure_time,
                      double time_bucket_seconds, uint64_t options_fingerprint,
-                     uint64_t model_fingerprint);
+                     const ModelView& view);
 
   /// True when MakeKey can bucket `departure_time`: it is finite and
   /// floor(departure_time / bucket width) fits int64_t. MakeKey's cast is

@@ -157,8 +157,8 @@ StatusOr<ShardManifest> WriteModelShards(const PathWeightFunction& wp,
     ranges.emplace_back(lo, kMaxArtifactEdgeId - 1);
   }
 
-  const std::string dir = DirOf(manifest_path);
   ShardManifest manifest;
+  manifest.dir = DirOf(manifest_path);
   manifest.alpha_seconds = wp.binning().alpha_seconds();
   manifest.source_fingerprint = wp.fingerprint();
 
@@ -183,7 +183,7 @@ StatusOr<ShardManifest> WriteModelShards(const PathWeightFunction& wp,
     info.key_hi = ranges[s].second;
     info.fingerprint = shard_model.fingerprint();
     info.file = options.file_prefix + "." + std::to_string(s) + ".pcdewf";
-    const std::string shard_path = dir + "/" + info.file;
+    const std::string shard_path = manifest.dir + "/" + info.file;
     PCDE_RETURN_NOT_OK(SaveWeightFunctionBinary(shard_model, shard_path));
     std::error_code ec;
     const uintmax_t nbytes = std::filesystem::file_size(shard_path, ec);
@@ -299,6 +299,7 @@ StatusOr<ShardManifest> LoadShardManifest(const std::string& manifest_path) {
   }
 
   ShardManifest manifest;
+  manifest.dir = DirOf(manifest_path);
   manifest.alpha_seconds = header.alpha_seconds;
   manifest.source_fingerprint = header.source_fingerprint;
   manifest.fingerprint = header.checksum;
@@ -343,6 +344,62 @@ StatusOr<ShardManifest> LoadShardManifest(const std::string& manifest_path) {
     manifest.shards.push_back(std::move(info));
   }
   return manifest;
+}
+
+bool IsShardManifest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  uint64_t magic = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  return in.good() && magic == kManifestMagic;
+}
+
+Status VerifyShardFiles(const ShardManifest& manifest) {
+  for (size_t s = 0; s < manifest.shards.size(); ++s) {
+    const ShardInfo& info = manifest.shards[s];
+    const std::string path = manifest.dir + "/" + info.file;
+    std::error_code ec;
+    const uintmax_t nbytes = std::filesystem::file_size(path, ec);
+    if (ec) {
+      return Status::NotFound("shard " + std::to_string(s) +
+                              " artifact missing (" + path + ")");
+    }
+    if (static_cast<uint64_t>(nbytes) != info.bytes) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(s) + " artifact is " +
+          std::to_string(nbytes) + " bytes, manifest declares " +
+          std::to_string(info.bytes) + " (" + path + ")");
+    }
+    // The header peek re-validates magic/version/alpha, so a shard file
+    // that is the right size but the wrong content fails here too.
+    PCDE_ASSIGN_OR_RETURN(fingerprint, PeekBinaryArtifactFingerprint(path));
+    if (fingerprint != info.fingerprint) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(s) +
+          " artifact fingerprint does not match the manifest (" + path + ")");
+    }
+  }
+  return Status::OK();
+}
+
+StatusOr<PathWeightFunction> LoadShard(const ShardManifest& manifest,
+                                       size_t index, bool use_mmap) {
+  const ShardInfo& info = manifest.shards[index];
+  const std::string path = manifest.dir + "/" + info.file;
+  PCDE_ASSIGN_OR_RETURN(model, LoadWeightFunctionBinary(path, use_mmap));
+  if (model.fingerprint() != info.fingerprint) {
+    return Status::InvalidArgument(
+        "shard " + std::to_string(index) +
+        " artifact fingerprint does not match the manifest (" + path + ")");
+  }
+  // Every shard must bin time like the manifest, or one path's candidate
+  // windows would be computed on two different grids.
+  if (model.binning().alpha_seconds() !=
+      TimeBinning(manifest.alpha_seconds / 60.0).alpha_seconds()) {
+    return Status::InvalidArgument("shard " + std::to_string(index) +
+                                   " time binning differs from the manifest's"
+                                   " (" + path + ")");
+  }
+  return model;
 }
 
 }  // namespace core

@@ -2,11 +2,11 @@
 // PathWeightFunction into per-shard PCDEWF1 artifacts keyed by the front
 // edge of each variable's interned edge sequence (the same key the frozen
 // CSR candidate index uses), plus a versioned, checksummed PCDEMF1
-// manifest naming every shard. serving::ShardedEngine opens the manifest
-// and routes paths to shards; a shard whose key range contains every edge
-// of a path holds the exact candidate set the monolithic model would use
-// for that path, so single-shard serving is bit-identical to the unsplit
-// model.
+// manifest naming every shard. serving::Engine opens a manifest like a
+// model artifact and attaches shards as requests need them; since each
+// front edge's whole candidate row lives in the one shard owning that
+// edge, in the monolithic order, a view over the shards (core/model_view.h)
+// serves every path bit-identically to the unsplit model.
 //
 // Manifest layout (PCDEMF1, little-endian, fixed 64-byte header):
 //
@@ -17,12 +17,12 @@
 //   Blob    concatenated shard file names (no terminators)
 //
 // The checksum covers alpha, the source fingerprint, every record, and the
-// name blob; it doubles as the manifest fingerprint that stamps sharded
-// responses. Shard key ranges partition [0, kMaxArtifactEdgeId) exactly:
-// contiguous, ascending, first key_lo == 0, last key_hi == ceiling - 1 —
-// every edge id has exactly one owning shard. Shard files are ordinary
-// PCDEWF1 artifacts living next to the manifest (names are flat siblings,
-// no directory components).
+// name blob; it doubles as the manifest fingerprint that stamps responses
+// served from the shards. Shard key ranges partition [0, kMaxArtifactEdgeId)
+// exactly: contiguous, ascending, first key_lo == 0, last key_hi ==
+// ceiling - 1 — every edge id has exactly one owning shard. Shard files are
+// ordinary PCDEWF1 artifacts living next to the manifest (names are flat
+// siblings, no directory components).
 //
 // Durability mirrors the model artifacts: shard files first (each through
 // the atomic temp/fsync/rename dance), the manifest last — the manifest
@@ -61,11 +61,14 @@ struct ShardManifest {
   /// from (diagnostic: ties a shard set back to its monolithic artifact).
   uint64_t source_fingerprint = 0;
   /// Checksum over the manifest payload — the generation identity that
-  /// stamps every ShardedEngine response's model_fingerprint.
+  /// stamps the model_fingerprint of every response served from it.
   uint64_t fingerprint = 0;
   /// Shards in ascending key order, ranges partitioning
   /// [0, kMaxArtifactEdgeId) exactly.
   std::vector<ShardInfo> shards;
+  /// Directory the shard file names resolve against: the manifest's own
+  /// (set by LoadShardManifest and WriteModelShards; not part of the file).
+  std::string dir;
 
   /// Index of the shard owning front-edge key `e` (ranges partition the
   /// whole key space; ids at or above the artifact ceiling clamp to the
@@ -95,11 +98,28 @@ StatusOr<ShardManifest> WriteModelShards(const PathWeightFunction& wp,
 /// \brief Reads and validates a PCDEMF1 manifest: magic, version, checksum,
 /// record bounds, name sanity, and the exact key-range partition are all
 /// enforced here, so corrupt/truncated/version-skewed manifests fail with a
-/// clean Status (never crash). Shard *files* are not opened — existence and
-/// content checks belong to the engine attach path, which compares each
-/// artifact's size and fingerprint against the manifest record.
+/// clean Status (never crash). Shard *files* are not opened — see
+/// VerifyShardFiles and LoadShard.
 /// Fault sites: "serialization.manifest_load.open" / ".read".
 StatusOr<ShardManifest> LoadShardManifest(const std::string& manifest_path);
+
+/// True when `path` starts with the PCDEMF1 magic (an unreadable or short
+/// file is not a manifest).
+bool IsShardManifest(const std::string& path);
+
+/// \brief Checks every shard artifact `manifest` names before anything
+/// serves from it: the file exists (else kNotFound), has the recorded
+/// size, and its header checksum equals the recorded fingerprint (else
+/// kInvalidArgument). Reads 64-byte headers only.
+Status VerifyShardFiles(const ShardManifest& manifest);
+
+/// \brief Loads shard `index` of `manifest` (buffered, or mapped under
+/// `use_mmap`), rejecting an artifact whose fingerprint or time binning
+/// differs from the manifest's with kInvalidArgument — the file may have
+/// changed since VerifyShardFiles ran, and a foreign shard must not serve
+/// under this manifest's fingerprint.
+StatusOr<PathWeightFunction> LoadShard(const ShardManifest& manifest,
+                                       size_t index, bool use_mmap);
 
 }  // namespace core
 }  // namespace pcde

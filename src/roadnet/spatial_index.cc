@@ -7,6 +7,20 @@
 namespace pcde {
 namespace roadnet {
 
+namespace {
+
+/// Packs a cell's coordinates into its key: cx in the high 32 bits, the low
+/// 32 bits of cy in the low ones. The shift runs on uint64_t because
+/// left-shifting a negative int64_t is undefined before C++20; the key bits
+/// are the same either way.
+int64_t CellKeyOf(int64_t cx, int64_t cy) {
+  return static_cast<int64_t>(
+      (static_cast<uint64_t>(cx) << 32) ^
+      (static_cast<uint64_t>(cy) & 0xffffffffu));
+}
+
+}  // namespace
+
 SpatialIndex::SpatialIndex(const Graph& g, double cell_size_m)
     : graph_(g), cell_size_m_(cell_size_m) {
   for (const Edge& e : g.edges()) {
@@ -24,7 +38,7 @@ SpatialIndex::SpatialIndex(const Graph& g, double cell_size_m)
         std::floor(std::max(a.y, b.y) / cell_size_m_));
     for (int64_t cx = cx0; cx <= cx1; ++cx) {
       for (int64_t cy = cy0; cy <= cy1; ++cy) {
-        cells_[(cx << 32) ^ (cy & 0xffffffff)].push_back(e.id);
+        cells_[CellKeyOf(cx, cy)].push_back(e.id);
       }
     }
   }
@@ -33,7 +47,7 @@ SpatialIndex::SpatialIndex(const Graph& g, double cell_size_m)
 SpatialIndex::CellKey SpatialIndex::KeyFor(double x, double y) const {
   const int64_t cx = static_cast<int64_t>(std::floor(x / cell_size_m_));
   const int64_t cy = static_cast<int64_t>(std::floor(y / cell_size_m_));
-  return (cx << 32) ^ (cy & 0xffffffff);
+  return CellKeyOf(cx, cy);
 }
 
 std::vector<SpatialIndex::Candidate> SpatialIndex::EdgesNear(
@@ -46,7 +60,7 @@ std::vector<SpatialIndex::Candidate> SpatialIndex::EdgesNear(
   const int64_t cy1 = static_cast<int64_t>(std::floor((y + radius_m) / cell_size_m_));
   for (int64_t cx = cx0; cx <= cx1; ++cx) {
     for (int64_t cy = cy0; cy <= cy1; ++cy) {
-      auto it = cells_.find((cx << 32) ^ (cy & 0xffffffff));
+      auto it = cells_.find(CellKeyOf(cx, cy));
       if (it == cells_.end()) continue;
       for (EdgeId e : it->second) {
         if (!seen.insert(e).second) continue;

@@ -20,11 +20,11 @@ using roadnet::Path;
 using roadnet::VertexId;
 
 DfsStochasticRouter::DfsStochasticRouter(const Graph& graph,
-                                         const core::PathWeightFunction& wp,
+                                         core::ModelView view,
                                          core::EstimateOptions estimate_options,
                                          RouterConfig config)
     : graph_(graph),
-      wp_(wp),
+      view_(view),
       estimate_options_(estimate_options),
       config_(config) {
   // Shared lower-bound oracle for the pruned search: per edge, the larger
@@ -38,14 +38,12 @@ DfsStochasticRouter::DfsStochasticRouter(const Graph& graph,
   // is on; model minima usually sit well above factor * free-flow, so the
   // residual budgets the pruners reason about shrink substantially.
   oracle_weight_seconds_.assign(graph_.NumEdges(), roadnet::kInfCost);
-  for (const core::InstantiatedVariable& var : wp_.variables()) {
-    if (var.rank() != 1) continue;
-    const EdgeId e = var.path[0];
-    if (e >= oracle_weight_seconds_.size()) continue;
-    oracle_weight_seconds_[e] =
-        std::min(oracle_weight_seconds_[e], var.joint.DimRange(0).lo);
-  }
   for (EdgeId e = 0; e < oracle_weight_seconds_.size(); ++e) {
+    for (const core::InstantiatedVariable* var : view_.StartingAt(e)) {
+      if (var->rank() != 1) continue;
+      oracle_weight_seconds_[e] =
+          std::min(oracle_weight_seconds_[e], var->joint.DimRange(0).lo);
+    }
     const double free_flow_bound =
         graph_.edge(e).FreeFlowSeconds() * config_.lower_bound_factor;
     oracle_weight_seconds_[e] =
@@ -140,7 +138,7 @@ void Dfs(SearchContext* ctx, const IncrementalEstimator& estimator,
       }
     }
     ++res.candidate_paths;
-    auto dist = estimator.CurrentDistribution(ctx->config->query_cache);
+    auto dist = estimator.CurrentDistribution();
     if (dist.ok()) {
       const double p = dist.value().ProbWithin(ctx->budget);
       if (p > res.best_probability) {
@@ -370,7 +368,8 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   auto run_branch = [&](size_t i) {
     const EdgeId e = roots[i];
     const roadnet::Edge& edge = graph_.edge(e);
-    IncrementalEstimator estimator(wp_, estimate_options_, e, departure_time);
+    IncrementalEstimator estimator(view_, estimate_options_, e,
+                                   departure_time);
     ++branch_results[i].estimator_clones;  // the root estimator itself
     if (estimator.MinTotalCost() + search_bound[edge.to] > budget_seconds) {
       ++branch_results[i].bound_pruned;

@@ -40,12 +40,6 @@ struct RouterConfig {
   /// passes its shared pool here. nullptr searches sequentially on the
   /// calling thread, as does a 1-thread pool.
   ThreadPool* pool = nullptr;
-  /// Optional shared result cache (not owned): complete candidate paths are
-  /// looked up by decomposition identity before finalizing the chain state,
-  /// so repeated Route() calls over the same region (multi-user serving)
-  /// reuse each other's sub-path distributions. Must be backed by the same
-  /// weight function as the router. nullptr disables caching.
-  core::QueryCache* query_cache = nullptr;
   /// Opt-in search pruners (routing/pruning.h). All default off, which is
   /// bit-identical to the pre-pruning router. In a sequential search,
   /// incumbent and dominance pruning return exactly the same
@@ -75,10 +69,11 @@ struct RouteResult {
 
 /// \brief Probabilistic budget routing with a pluggable cost-distribution
 /// estimator (LB / HP / OD — Fig. 18 compares them by total routing time).
+/// The view must cover every edge of `graph`: a manifest view needs all of
+/// its shards attached.
 class DfsStochasticRouter {
  public:
-  DfsStochasticRouter(const roadnet::Graph& graph,
-                      const core::PathWeightFunction& wp,
+  DfsStochasticRouter(const roadnet::Graph& graph, core::ModelView view,
                       core::EstimateOptions estimate_options,
                       RouterConfig config = RouterConfig());
 
@@ -103,7 +98,7 @@ class DfsStochasticRouter {
 
  private:
   const roadnet::Graph& graph_;
-  const core::PathWeightFunction& wp_;
+  core::ModelView view_;
   core::EstimateOptions estimate_options_;
   RouterConfig config_;
   /// Shared lower-bound oracle (built once in the constructor): per edge,

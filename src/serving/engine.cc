@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -12,6 +15,7 @@
 #include "common/stopwatch.h"
 #include "core/instantiation.h"
 #include "core/serialization.h"
+#include "core/shard_writer.h"
 #include "roadnet/shortest_path.h"
 
 namespace pcde {
@@ -63,25 +67,57 @@ core::EdgeFallbackFn MakeEdgeFallback(const roadnet::Graph& graph) {
 
 }  // namespace
 
-std::shared_ptr<const Engine::Epoch> Engine::BuildEpoch(
-    std::shared_ptr<const PathWeightFunction> model, uint64_t sequence) const {
-  auto epoch = std::make_shared<Epoch>();
-  epoch->sequence = sequence;
-  epoch->model = std::move(model);
-  epoch->estimator = std::make_unique<core::HybridEstimator>(
-      *epoch->model, options_.estimate);
+/// What every epoch of one manifest generation shares. The stamps are the
+/// touch_clock_ values of each shard's latest use; they order evictions.
+struct Engine::ShardGeneration {
+  explicit ShardGeneration(core::ShardManifest m)
+      : manifest(std::move(m)), last_touch(manifest.shards.size()) {}
+  core::ShardManifest manifest;
+  mutable std::vector<std::atomic<uint64_t>> last_touch;
+};
+
+namespace {
+
+/// The sorted distinct shards owning the edges of `path`.
+std::vector<size_t> ShardsOf(const core::ShardManifest& manifest,
+                             const Path& path) {
+  std::vector<size_t> shards;
+  for (roadnet::EdgeId e : path.edges()) shards.push_back(manifest.ShardOf(e));
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  return shards;
+}
+
+}  // namespace
+
+Engine::Epoch::Epoch(uint64_t sequence_in, Source source_in)
+    : sequence(sequence_in),
+      source(std::move(source_in)),
+      resident(static_cast<size_t>(std::count_if(
+          source.shards.models.begin(), source.shards.models.end(),
+          [](const auto& model) { return model != nullptr; }))),
+      view(source.model != nullptr ? core::ModelView(*source.model)
+                                   : core::ModelView(source.shards)) {}
+
+std::shared_ptr<const Engine::Epoch> Engine::BuildEpoch(uint64_t sequence,
+                                                        Source source) const {
+  auto epoch = std::make_shared<Epoch>(sequence, std::move(source));
+  epoch->estimator =
+      std::make_unique<core::HybridEstimator>(epoch->view, options_.estimate);
   epoch->estimator->set_query_cache(cache_.get());
   if (options_.graph != nullptr) {
     epoch->estimator->set_edge_fallback(MakeEdgeFallback(*options_.graph));
-    routing::RouterConfig config;
-    config.lower_bound_factor = options_.route_lower_bound_factor;
-    config.max_expansions = options_.route_max_expansions;
-    config.max_path_edges = options_.route_max_path_edges;
-    config.pool = pool_;
-    config.query_cache = cache_.get();
-    config.pruning = options_.route_pruning;
-    epoch->router = std::make_unique<routing::DfsStochasticRouter>(
-        *options_.graph, *epoch->model, options_.estimate, config);
+    if (epoch->source.model != nullptr ||
+        epoch->resident == epoch->source.shards.models.size()) {
+      routing::RouterConfig config;
+      config.lower_bound_factor = options_.route_lower_bound_factor;
+      config.max_expansions = options_.route_max_expansions;
+      config.max_path_edges = options_.route_max_path_edges;
+      config.pool = pool_.get();
+      config.pruning = options_.route_pruning;
+      epoch->router = std::make_unique<routing::DfsStochasticRouter>(
+          *options_.graph, epoch->view, options_.estimate, config);
+    }
   }
   return epoch;
 }
@@ -90,16 +126,141 @@ std::shared_ptr<const Engine::Epoch> Engine::CurrentEpoch() const {
   return std::atomic_load(&epoch_);
 }
 
-uint64_t Engine::PublishLocked(
-    std::shared_ptr<const PathWeightFunction> model) {
-  return PublishEpochLocked(BuildEpoch(std::move(model), next_sequence_));
+StatusOr<std::shared_ptr<const PathWeightFunction>> Engine::AttachShard(
+    const core::ShardManifest& manifest, size_t index) const {
+  if (PCDE_FAULT_POINT("serving.shard.attach")) {
+    return Status::Internal("Engine: injected attach fault for shard " +
+                            std::to_string(index));
+  }
+  PCDE_ASSIGN_OR_RETURN(model,
+                        core::LoadShard(manifest, index, options_.use_mmap));
+  shard_attaches_.fetch_add(1, std::memory_order_relaxed);
+  return std::make_shared<const PathWeightFunction>(std::move(model));
+}
+
+StatusOr<Engine::Source> Engine::Load(const std::string& path,
+                                      const Epoch* current) const {
+  Source source;
+  if (!core::IsShardManifest(path)) {
+    PCDE_ASSIGN_OR_RETURN(model,
+                          options_.use_mmap
+                              ? core::LoadWeightFunctionBinary(
+                                    path, /*use_mmap=*/true)
+                              : core::LoadWeightFunction(path));
+    source.model = std::make_shared<const PathWeightFunction>(std::move(model));
+    return source;
+  }
+  PCDE_ASSIGN_OR_RETURN(manifest, core::LoadShardManifest(path));
+  // Every shard file is checked before anything publishes, so a missing,
+  // short or foreign shard rejects the whole generation up front.
+  PCDE_RETURN_NOT_OK(core::VerifyShardFiles(manifest));
+  source.generation = std::make_shared<const ShardGeneration>(
+      std::move(manifest));
+  const core::ShardManifest& next = source.generation->manifest;
+  source.shards.manifest = std::shared_ptr<const core::ShardManifest>(
+      source.generation, &next);
+  source.shards.models.resize(next.shards.size());
+  if (current == nullptr || current->source.generation == nullptr) {
+    return source;
+  }
+  // Per-shard refresh: an attached shard keeps serving its loaded model
+  // when the new manifest records the same content over the same keys, and
+  // reloads when it changed.
+  const core::ShardManifest& prev = current->source.generation->manifest;
+  for (size_t s = 0; s < next.shards.size() && s < prev.shards.size(); ++s) {
+    const auto& attached = current->source.shards.models[s];
+    if (attached == nullptr) continue;
+    const core::ShardInfo& a = prev.shards[s];
+    const core::ShardInfo& b = next.shards[s];
+    if (a.fingerprint == b.fingerprint && a.key_lo == b.key_lo &&
+        a.key_hi == b.key_hi) {
+      source.shards.models[s] = attached;
+      continue;
+    }
+    PCDE_ASSIGN_OR_RETURN(model, AttachShard(next, s));
+    source.shards.models[s] = std::move(model);
+  }
+  return source;
+}
+
+StatusOr<std::shared_ptr<const Engine::Epoch>> Engine::WithShards(
+    std::shared_ptr<const Epoch> epoch,
+    const std::vector<size_t>& needed) const {
+  const ShardGeneration* generation = epoch->source.generation.get();
+  if (generation == nullptr) return epoch;
+  const size_t cap = options_.max_resident_shards;
+  const uint64_t now = touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  bool missing = false;
+  for (size_t s : needed) {
+    generation->last_touch[s].store(now, std::memory_order_relaxed);
+    if (epoch->source.shards.models[s] == nullptr) missing = true;
+  }
+  // Nothing to attach, and nothing to evict: within the cap, or every
+  // attached shard is one this request needs.
+  if (!missing &&
+      (cap == 0 || epoch->resident <= std::max(cap, needed.size()))) {
+    return epoch;
+  }
+
+  std::lock_guard<std::mutex> lock(attach_mutex_);
+  // Extend the newest epoch of the pinned generation: the published one,
+  // unless a swap has replaced that generation since the request pinned.
+  std::shared_ptr<const Epoch> current = CurrentEpoch();
+  const std::shared_ptr<const Epoch>& base =
+      current->sequence == epoch->sequence ? current : epoch;
+  Source source = base->source;
+  std::vector<std::shared_ptr<const PathWeightFunction>>& models =
+      source.shards.models;
+  size_t attached = 0;
+  for (size_t s : needed) {
+    if (models[s] != nullptr) continue;
+    PCDE_ASSIGN_OR_RETURN(model, AttachShard(generation->manifest, s));
+    models[s] = std::move(model);
+    ++attached;
+  }
+  bool changed = attached > 0;
+  if (cap > 0) {
+    size_t resident = base->resident + attached;
+    while (resident > cap) {
+      // Least recently used attached shard this request does not need;
+      // requests that pinned it keep it alive until they finish.
+      size_t victim = models.size();
+      uint64_t oldest = UINT64_MAX;
+      for (size_t s = 0; s < models.size(); ++s) {
+        if (models[s] == nullptr ||
+            std::binary_search(needed.begin(), needed.end(), s)) {
+          continue;
+        }
+        const uint64_t touch =
+            generation->last_touch[s].load(std::memory_order_relaxed);
+        if (touch < oldest) {
+          oldest = touch;
+          victim = s;
+        }
+      }
+      if (victim == models.size()) break;
+      models[victim] = nullptr;
+      --resident;
+      shard_evictions_.fetch_add(1, std::memory_order_relaxed);
+      changed = true;
+    }
+  }
+  if (!changed) return base;
+  std::shared_ptr<const Epoch> next =
+      BuildEpoch(base->sequence, std::move(source));
+  if (base == current) {
+    // Fails only if a swap published meanwhile; the request still serves
+    // on `next`, its own generation.
+    std::atomic_compare_exchange_strong(&epoch_, &current, next);
+  }
+  return next;
 }
 
 uint64_t Engine::PublishEpochLocked(std::shared_ptr<const Epoch> epoch) {
   const uint64_t sequence = epoch->sequence;
   next_sequence_ = sequence + 1;
-  std::shared_ptr<const Epoch> replaced = std::atomic_load(&epoch_);
-  std::atomic_store(&epoch_, std::move(epoch));
+  std::shared_ptr<const Epoch> replaced =
+      std::atomic_exchange(&epoch_, std::move(epoch));
   // Retain the replaced epoch for RollbackToPrevious when the policy keeps
   // a ring; with capacity 0 (default) `replaced` drops here and the old
   // model tears down when its last in-flight request finishes — the exact
@@ -112,7 +273,7 @@ uint64_t Engine::PublishEpochLocked(std::shared_ptr<const Epoch> epoch) {
   return sequence;
 }
 
-Status Engine::VerifyCandidate(const Epoch& candidate,
+Status Engine::VerifyCandidate(std::shared_ptr<const Epoch>* candidate,
                                const std::vector<GoldenProbe>& probes) const {
   auto reject = [this](const std::string& what) {
     probe_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -130,9 +291,20 @@ Status Engine::VerifyCandidate(const Epoch& candidate,
       return reject(which + " failed to resolve: " +
                     resolved.status().message());
     }
+    const core::ShardManifest* manifest =
+        (*candidate)->source.shards.manifest.get();
+    if (manifest != nullptr) {
+      auto attached =
+          WithShards(*candidate, ShardsOf(*manifest, resolved.value()));
+      if (!attached.ok()) {
+        return reject(which + " could not attach its shards: " +
+                      attached.status().message());
+      }
+      *candidate = std::move(attached).value();
+    }
     core::EstimateBreakdown breakdown;
     core::FallbackProvenance provenance;
-    auto dist = candidate.estimator->EstimateWithFallback(
+    auto dist = (*candidate)->estimator->EstimateWithFallback(
         resolved.value(), probe.request.departure_time, &provenance,
         &breakdown, /*cancel=*/nullptr);
     if (!dist.ok()) {
@@ -154,22 +326,20 @@ Status Engine::VerifyCandidate(const Epoch& candidate,
 }
 
 StatusOr<uint64_t> Engine::VerifyAndPublishLocked(
-    std::shared_ptr<const PathWeightFunction> model,
-    const SwapOptions& swap_options) {
+    Source source, const SwapOptions& swap_options) {
   // Build ONE candidate epoch, verify it unpublished, and publish the very
   // object that was verified: a rejected candidate is dropped here without
   // ever being reachable by a request.
   std::shared_ptr<const Epoch> candidate =
-      BuildEpoch(std::move(model), next_sequence_);
+      BuildEpoch(next_sequence_, std::move(source));
   const std::vector<GoldenProbe>& probes = swap_options.probes.empty()
                                                ? options_.swap_policy.probes
                                                : swap_options.probes;
-  PCDE_RETURN_NOT_OK(VerifyCandidate(*candidate, probes));
+  PCDE_RETURN_NOT_OK(VerifyCandidate(&candidate, probes));
   return PublishEpochLocked(std::move(candidate));
 }
 
-StatusOr<std::unique_ptr<Engine>> Engine::Make(
-    EngineOptions options, std::unique_ptr<PathWeightFunction> model) {
+StatusOr<std::unique_ptr<Engine>> Engine::Make(EngineOptions options) {
   if (options.query_cache_bytes > 0 && options.cache_time_bucket_seconds <= 0.0) {
     return Status::InvalidArgument(
         "Engine: cache_time_bucket_seconds must be positive");
@@ -183,20 +353,13 @@ StatusOr<std::unique_ptr<Engine>> Engine::Make(
     cache_options.time_bucket_seconds = opts.cache_time_bucket_seconds;
     engine->cache_ = std::make_unique<core::QueryCache>(cache_options);
   }
-  if (opts.shared_pool != nullptr) {
-    engine->pool_ = opts.shared_pool;
-  } else {
-    engine->owned_pool_ = std::make_unique<ThreadPool>(opts.num_threads);
-    engine->pool_ = engine->owned_pool_.get();
-  }
+  engine->pool_ = std::make_unique<ThreadPool>(opts.num_threads);
   AdmissionController::Options admission_options;
   admission_options.max_inflight = opts.max_inflight_requests;
   admission_options.max_queue_depth = opts.max_queue_depth;
   admission_options.queue_timeout_seconds = opts.queue_timeout_seconds;
   engine->admission_ =
       std::make_unique<AdmissionController>(admission_options);
-  engine->PublishLocked(std::shared_ptr<const PathWeightFunction>(
-      std::move(model)));  // first epoch; no concurrent readers yet
   return engine;
 }
 
@@ -209,6 +372,16 @@ namespace {
 bool IsTransientSwapFailure(const Status& status) {
   return status.code() == StatusCode::kInternal ||
          status.code() == StatusCode::kNotFound;
+}
+
+/// The fingerprint a model artifact or manifest at `path` would serve
+/// under, read without loading any model payload.
+StatusOr<uint64_t> PeekFingerprint(const std::string& path) {
+  if (!core::IsShardManifest(path)) {
+    return core::PeekBinaryArtifactFingerprint(path);
+  }
+  PCDE_ASSIGN_OR_RETURN(manifest, core::LoadShardManifest(path));
+  return manifest.fingerprint;
 }
 
 /// Exponential backoff with deterministic jitter before retry `attempt`
@@ -245,20 +418,20 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
     return Status::InvalidArgument("Engine::Swap: model_path is empty");
   }
   std::lock_guard<std::mutex> lock(swap_mutex_);
-  // Short-circuit a refresh to content already being served: the header
-  // checksum IS the model fingerprint. A failed peek (text artifact,
-  // unreadable file) is not a swap failure yet — the full load below is
-  // the authority, and it validates the whole payload either way.
-  auto peek = core::PeekBinaryArtifactFingerprint(model_path);
+  // Short-circuit a refresh to content already being served: a model
+  // artifact's header checksum, like a manifest's, IS the fingerprint. A
+  // failed peek (text artifact, unreadable file) is not a swap failure yet
+  // — the full load below is the authority, and it validates the whole
+  // payload either way.
+  auto peek = PeekFingerprint(model_path);
   const std::shared_ptr<const Epoch> current = CurrentEpoch();
-  if (peek.ok() && peek.value() == current->model->fingerprint()) {
+  if (peek.ok() && peek.value() == current->view.fingerprint()) {
     return current->sequence;
   }
   const SwapPolicy& policy = options_.swap_policy;
   const size_t max_attempts = std::max<size_t>(policy.max_attempts, 1);
   Rng jitter(policy.jitter_seed);
-  StatusOr<PathWeightFunction> loaded =
-      Status::Internal("Engine::Swap: no load attempted");
+  StatusOr<Source> loaded = Status::Internal("Engine::Swap: no load attempted");
   for (size_t attempt = 1;; ++attempt) {
     if (CancelToken::Check(swap_options.cancel)) {
       return CancelToken::StatusOf(swap_options.cancel);
@@ -268,10 +441,7 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
       loaded = Status::Internal(
           "Engine::Swap: injected transient load fault for " + model_path);
     } else {
-      loaded = options_.use_mmap
-                   ? core::LoadWeightFunctionBinary(model_path,
-                                                    /*use_mmap=*/true)
-                   : core::LoadWeightFunction(model_path);
+      loaded = Load(model_path, current.get());
     }
     if (loaded.ok()) break;
     // Rejection leaves the published epoch untouched: the old model keeps
@@ -282,9 +452,7 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
     swap_retries_.fetch_add(1, std::memory_order_relaxed);
     BackoffBeforeRetry(policy, attempt, &jitter, swap_options.cancel);
   }
-  return VerifyAndPublishLocked(
-      std::make_shared<PathWeightFunction>(std::move(loaded).value()),
-      swap_options);
+  return VerifyAndPublishLocked(std::move(loaded).value(), swap_options);
 }
 
 StatusOr<uint64_t> Engine::Swap(PathWeightFunction model) {
@@ -294,8 +462,9 @@ StatusOr<uint64_t> Engine::Swap(PathWeightFunction model) {
 StatusOr<uint64_t> Engine::Swap(PathWeightFunction model,
                                 const SwapOptions& swap_options) {
   std::lock_guard<std::mutex> lock(swap_mutex_);
-  return VerifyAndPublishLocked(
-      std::make_shared<PathWeightFunction>(std::move(model)), swap_options);
+  Source source;
+  source.model = std::make_shared<const PathWeightFunction>(std::move(model));
+  return VerifyAndPublishLocked(std::move(source), swap_options);
 }
 
 StatusOr<uint64_t> Engine::RollbackToPrevious() {
@@ -313,7 +482,7 @@ StatusOr<uint64_t> Engine::RollbackToPrevious() {
   // move backward in responses) WITHOUT retaining the epoch being rolled
   // back off of — it is the suspect one, not a known good.
   const uint64_t sequence = next_sequence_++;
-  std::atomic_store(&epoch_, BuildEpoch(previous->model, sequence));
+  std::atomic_store(&epoch_, BuildEpoch(sequence, previous->source));
   return sequence;
 }
 
@@ -325,11 +494,32 @@ size_t Engine::rollback_depth() const {
 uint64_t Engine::epoch_sequence() const { return CurrentEpoch()->sequence; }
 
 const PathWeightFunction& Engine::model() const {
-  return *CurrentEpoch()->model;
+  const PathWeightFunction* model = CurrentEpoch()->source.model.get();
+  if (model == nullptr) {
+    std::fprintf(stderr, "Engine::model(): a shard manifest is serving\n");
+    std::abort();
+  }
+  return *model;
 }
 
 std::shared_ptr<const PathWeightFunction> Engine::model_snapshot() const {
-  return CurrentEpoch()->model;
+  return CurrentEpoch()->source.model;
+}
+
+uint64_t Engine::model_fingerprint() const {
+  return CurrentEpoch()->view.fingerprint();
+}
+
+std::vector<size_t> Engine::ResidentShardBytes() const {
+  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
+  if (epoch->source.model != nullptr) {
+    return {epoch->source.model->ResidentBytes()};
+  }
+  std::vector<size_t> bytes;
+  for (const auto& model : epoch->source.shards.models) {
+    bytes.push_back(model != nullptr ? model->ResidentBytes() : 0);
+  }
+  return bytes;
 }
 
 StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
@@ -342,19 +532,22 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
     return Status::Internal("Engine::Open: injected load fault for " +
                             options.model_path);
   }
-  auto loaded = options.use_mmap
-                    ? core::LoadWeightFunctionBinary(options.model_path,
-                                                     /*use_mmap=*/true)
-                    : core::LoadWeightFunction(options.model_path);
-  if (!loaded.ok()) return loaded.status();
-  return Make(std::move(options), std::make_unique<PathWeightFunction>(
-                                      std::move(loaded).value()));
+  PCDE_ASSIGN_OR_RETURN(engine, Make(std::move(options)));
+  PCDE_ASSIGN_OR_RETURN(
+      source, engine->Load(engine->options_.model_path, /*current=*/nullptr));
+  engine->PublishEpochLocked(
+      engine->BuildEpoch(engine->next_sequence_, std::move(source)));
+  return engine;
 }
 
 StatusOr<std::unique_ptr<Engine>> Engine::Open(PathWeightFunction model,
                                                EngineOptions options) {
-  return Make(std::move(options),
-              std::make_unique<PathWeightFunction>(std::move(model)));
+  PCDE_ASSIGN_OR_RETURN(engine, Make(std::move(options)));
+  Source source;
+  source.model = std::make_shared<const PathWeightFunction>(std::move(model));
+  engine->PublishEpochLocked(
+      engine->BuildEpoch(engine->next_sequence_, std::move(source)));
+  return engine;
 }
 
 StatusOr<Path> Engine::ResolvePath(const PathSpec& spec) const {
@@ -443,7 +636,8 @@ Status CheckDeparture(double departure_time, double time_bucket_seconds) {
 }  // namespace
 
 StatusOr<EstimateResponse> Engine::Serve(
-    const Epoch& epoch, const EstimateRequest& request) const {
+    const std::shared_ptr<const Epoch>& pinned,
+    const EstimateRequest& request) const {
   Stopwatch watch;
   // Admission before any work: at capacity the request sheds with
   // kResourceExhausted instead of joining an unbounded queue.
@@ -458,6 +652,14 @@ StatusOr<EstimateResponse> Engine::Serve(
   PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
                                     options_.cache_time_bucket_seconds));
   PCDE_ASSIGN_OR_RETURN(path, ResolvePath(request.path));
+  std::shared_ptr<const Epoch> extended;  // the pin plus the path's shards
+  if (pinned->source.generation != nullptr) {
+    const core::ShardManifest& manifest = pinned->source.generation->manifest;
+    PCDE_ASSIGN_OR_RETURN(attached,
+                          WithShards(pinned, ShardsOf(manifest, path)));
+    extended = std::move(attached);
+  }
+  const Epoch& epoch = extended != nullptr ? *extended : *pinned;
   core::EstimateBreakdown breakdown;
   core::FallbackProvenance provenance;
   auto dist = epoch.estimator->EstimateWithFallback(
@@ -468,7 +670,7 @@ StatusOr<EstimateResponse> Engine::Serve(
   }
   EstimateResponse response = MakeResponse(request, std::move(path),
                                            std::move(dist).value(), breakdown);
-  StampProvenance(&response, epoch.model->fingerprint(), epoch.sequence,
+  StampProvenance(&response, epoch.view.fingerprint(), epoch.sequence,
                   provenance);
   response.inflight_at_admit = inflight_now;
   response.serve_seconds = watch.ElapsedSeconds();
@@ -480,8 +682,7 @@ StatusOr<EstimateResponse> Engine::Estimate(
   // Pin one epoch for the whole request: resolution, estimation, and
   // provenance all read the same published model even if Swap lands
   // mid-request.
-  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
-  return Serve(*epoch, request);
+  return Serve(CurrentEpoch(), request);
 }
 
 std::vector<StatusOr<EstimateResponse>> Engine::EstimateBatch(
@@ -499,7 +700,7 @@ std::vector<StatusOr<EstimateResponse>> Engine::EstimateBatch(
   // fan-out cannot change results.
   pool_->ParallelFor(num_requests, [this, requests, &responses,
                                     &epoch](size_t i) {
-    responses[i] = Serve(*epoch, requests[i]);
+    responses[i] = Serve(epoch, requests[i]);
   });
   return responses;
 }
@@ -511,13 +712,21 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
   std::optional<CancelToken> deadline_token;
   const CancelToken* cancel =
       SetupCancel(request.timeout_seconds, request.cancel, &deadline_token);
-  const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
-  if (epoch->router == nullptr) {
+  std::shared_ptr<const Epoch> epoch = CurrentEpoch();
+  if (options_.graph == nullptr) {
     return Status::FailedPrecondition(
         "Engine::Route needs EngineOptions::graph");
   }
   PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
                                     options_.cache_time_bucket_seconds));
+  if (epoch->router == nullptr) {
+    // A manifest with shards detached: the search may touch any edge, so
+    // it needs them all.
+    std::vector<size_t> all(epoch->source.shards.models.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    PCDE_ASSIGN_OR_RETURN(attached, WithShards(std::move(epoch), all));
+    epoch = std::move(attached);
+  }
   auto result = epoch->router->Route(
       request.from, request.to, request.departure_time,
       request.budget_seconds, cancel,
@@ -544,7 +753,7 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
                                     std::memory_order_relaxed);
   route_estimator_clones_.fetch_add(response.estimator_clones,
                                     std::memory_order_relaxed);
-  response.model_fingerprint = epoch->model->fingerprint();
+  response.model_fingerprint = epoch->view.fingerprint();
   response.epoch = epoch->sequence;
   response.inflight_at_admit = inflight_now;
   return response;
@@ -580,6 +789,9 @@ EngineStats Engine::stats() const {
   stats.swap_retries = swap_retries_.load(std::memory_order_relaxed);
   stats.probe_failures = probe_failures_.load(std::memory_order_relaxed);
   stats.rollbacks = rollbacks_.load(std::memory_order_relaxed);
+  stats.shards_resident = CurrentEpoch()->resident;
+  stats.shard_attaches = shard_attaches_.load(std::memory_order_relaxed);
+  stats.shard_evictions = shard_evictions_.load(std::memory_order_relaxed);
   return stats;
 }
 

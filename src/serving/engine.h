@@ -21,6 +21,12 @@
 // (tests/serving_engine_test.cc proves it, with and without caches) — the
 // facade adds request resolution and summary derivation, not semantics.
 //
+// The model may also be a PCDEMF1 shard manifest (core/shard_writer.h),
+// sniffed from model_path by its magic. Shards attach as requests first
+// need them, up to an LRU cap, and the estimator and router read them
+// through one core::ModelView: every Estimate and Route — paths crossing
+// shard boundaries included — is bit-identical to the unsplit model's.
+//
 // Thread safety: Estimate / EstimateBatch / Route are const and safe to
 // call concurrently (the underlying estimator is read-only over the frozen
 // model and the QueryCache is sharded). Swap may run concurrently with all
@@ -29,6 +35,9 @@
 // pins the epoch it entered on, so a swap mid-request changes nothing for
 // that request and the old model is destroyed only when its last in-flight
 // request finishes. Concurrent Swap calls serialize against each other.
+// Attaching or evicting a shard also publishes a new epoch, of the same
+// model generation (same sequence number and fingerprint), so a request
+// that needs a shard its pinned epoch lacks serves on an extension of it.
 #pragma once
 
 #include <atomic>
@@ -42,6 +51,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/estimator.h"
+#include "core/model_view.h"
 #include "core/query_cache.h"
 #include "routing/stochastic_router.h"
 #include "serving/admission.h"
@@ -109,13 +119,19 @@ struct SwapOptions {
 /// Declarative configuration of the full serving stack.
 struct EngineOptions {
   /// Model artifact to load when Open(options) is used (core/serialization:
-  /// PCDEWF1 binary or text v2, sniffed). Ignored by the adopting Open.
+  /// PCDEWF1 binary or text v2, or a PCDEMF1 shard manifest; sniffed).
+  /// Ignored by the adopting Open.
   std::string model_path;
-  /// Map the binary artifact PROT_READ/MAP_SHARED and parse in place (one
-  /// page-cache copy across co-resident engines serving the same file).
-  /// Binary artifacts only; see LoadWeightFunctionBinary for the atomic-
-  /// replace lifecycle requirement.
+  /// Map the binary artifact (or every shard artifact) PROT_READ/MAP_SHARED
+  /// and parse in place (one page-cache copy across co-resident engines
+  /// serving the same file). Binary artifacts only; see
+  /// LoadWeightFunctionBinary for the atomic-replace lifecycle requirement.
   bool use_mmap = false;
+  /// Manifest models only: LRU cap on attached shards; 0 = unbounded. A
+  /// request always gets every shard it needs (a Route needs all of them),
+  /// and attaching evicts the least recently used shards no request at
+  /// hand needs until the count is back at the cap.
+  size_t max_resident_shards = 0;
 
   /// Road network backing OD-pair PathSpecs (free-flow shortest-path
   /// resolution), explicit-path validation, and Route. May stay null when
@@ -130,12 +146,6 @@ struct EngineOptions {
   /// root fan-out), the calling thread included: 1 runs everything on the
   /// caller. 0 = hardware concurrency.
   size_t num_threads = 0;
-
-  /// External worker pool (not owned; must outlive the engine). When set,
-  /// the engine builds no pool of its own and `num_threads` is ignored —
-  /// this is how ShardedEngine gives its N inner engines one shared pool
-  /// instead of N independent thread herds. nullptr = own pool (default).
-  ThreadPool* shared_pool = nullptr;
 
   /// Byte budget of the shared result cache (core/query_cache.h); 0
   /// disables caching. Results are bit-identical either way.
@@ -198,14 +208,13 @@ struct EngineStats {
   uint64_t swap_retries = 0;
   uint64_t probe_failures = 0;
   uint64_t rollbacks = 0;
-  /// Sharded serving (ShardedEngine::stats(); always 0 on a plain Engine).
-  /// shards_resident is a point-in-time gauge of attached shards; the
-  /// other three count attaches, LRU evictions, and requests whose path
-  /// crossed a shard boundary (stitched serve) over the engine's lifetime.
+  /// Manifest models (always 0 on a single model): shards_resident is a
+  /// point-in-time gauge of the published epoch's attached shards; the
+  /// other two count shard loads and LRU evictions over the engine's
+  /// lifetime.
   uint64_t shards_resident = 0;
   uint64_t shard_attaches = 0;
   uint64_t shard_evictions = 0;
-  uint64_t cross_shard_requests = 0;
 };
 
 /// \brief Derives the serving-visible CostSummary from a cost
@@ -232,22 +241,29 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// \brief Zero-downtime model refresh: loads the artifact, validates it,
-  /// and atomically publishes it as a new epoch. In-flight and subsequent
-  /// requests are never failed by the transition — each pins one epoch for
-  /// its whole lifetime, and responses carry the pinned epoch + model
-  /// fingerprint so callers can audit which model answered. A corrupt,
-  /// truncated, or version-skewed artifact is rejected with the loader's
-  /// Status and the old epoch keeps serving untouched. An artifact whose
-  /// header checksum matches the currently served model short-circuits to
-  /// a no-op (no new epoch). The shared QueryCache survives swaps: its
-  /// keys carry the model fingerprint, so entries of replaced models decay
-  /// into misses and evict, never into false hits. Loads via
-  /// options().use_mmap, like Open. Returns the now-serving epoch sequence.
-  /// Thread-safe against requests and against other Swap calls.
+  /// \brief Zero-downtime model refresh: loads the artifact (a model or a
+  /// shard manifest), validates it, and atomically publishes it as a new
+  /// epoch. In-flight and subsequent requests are never failed by the
+  /// transition — each pins one epoch for its whole lifetime, and
+  /// responses carry the pinned epoch + model fingerprint so callers can
+  /// audit which model answered. A corrupt, truncated, or version-skewed
+  /// artifact is rejected with the loader's Status and the old epoch keeps
+  /// serving untouched. An artifact whose header checksum matches the
+  /// currently served model short-circuits to a no-op (no new epoch). The
+  /// shared QueryCache survives swaps: its keys carry the model
+  /// fingerprint, so entries of replaced models decay into misses and
+  /// evict, never into false hits. Loads via options().use_mmap, like
+  /// Open. Returns the now-serving epoch sequence. Thread-safe against
+  /// requests and against other Swap calls.
   /// Under a non-default SwapPolicy the load is additionally retried on
   /// transient failures (with cancel-aware exponential backoff) and the
   /// candidate is probe-verified before publication; see SwapPolicy.
+  /// A manifest is refreshed per shard: every shard file it names is
+  /// checked (size and fingerprint) before anything publishes, shards whose
+  /// fingerprint is unchanged keep their loaded model, attached shards that
+  /// changed reload, and the rest attach when first needed. A manifest
+  /// with the served manifest's fingerprint is a no-op like a same-model
+  /// artifact.
   StatusOr<uint64_t> Swap(const std::string& model_path);
   /// Same, with per-call cancellation and probe references.
   StatusOr<uint64_t> Swap(const std::string& model_path,
@@ -279,13 +295,21 @@ class Engine {
   uint64_t epoch_sequence() const;
 
   const EngineOptions& options() const { return options_; }
-  /// The currently published epoch's model. The reference stays valid
+  /// The currently published epoch's model; single-model engines only
+  /// (aborts while a shard manifest is serving). The reference stays valid
   /// until the next successful Swap; under concurrent swaps prefer
   /// model_snapshot(), which the caller pins.
   const core::PathWeightFunction& model() const;
   /// Swap-safe model access: the returned shared_ptr keeps the model (and
-  /// its arena) alive past any number of subsequent swaps.
+  /// its arena) alive past any number of subsequent swaps. nullptr while a
+  /// shard manifest is serving.
   std::shared_ptr<const core::PathWeightFunction> model_snapshot() const;
+  /// The fingerprint responses are stamped with right now: the model's, or
+  /// the manifest's.
+  uint64_t model_fingerprint() const;
+  /// Resident model bytes per shard of the serving generation, 0 for a
+  /// shard not attached; a single model is one entry.
+  std::vector<size_t> ResidentShardBytes() const;
   /// nullptr when query_cache_bytes == 0.
   core::QueryCache* query_cache() const { return cache_.get(); }
   ThreadPool& pool() const { return *pool_; }
@@ -316,9 +340,10 @@ class Engine {
   }
 
   /// Probabilistic budget routing (Sec. 4.3) on the engine's stack: the
-  /// DFS router runs with the engine's estimate options, query cache, and
-  /// shared pool. Requires options.graph. Rejects departure times as
-  /// Estimate does, and a budget that is not finite.
+  /// DFS router runs with the engine's estimate options and shared pool.
+  /// Requires options.graph; on a manifest it needs every shard attached.
+  /// Rejects departure times as Estimate does, and a budget that is not
+  /// finite.
   StatusOr<RouteResponse> Route(const RouteRequest& request) const;
 
   /// Point-in-time snapshot of the overload counters (admission traffic,
@@ -326,61 +351,96 @@ class Engine {
   EngineStats stats() const;
 
  private:
-  /// \brief One published model generation: the frozen model plus the
-  /// stack wired to it. Immutable once published; requests pin it with one
-  /// shared_ptr copy at entry, so a replaced epoch (and its model arena,
-  /// mmap included) is torn down exactly when its last in-flight request
-  /// drops the pin. The QueryCache and ThreadPool are engine-level and
-  /// shared across epochs — cache keys carry the model fingerprint, so
-  /// sharing is correctness-neutral.
-  struct Epoch {
-    uint64_t sequence = 0;
+  /// What every epoch of one manifest generation shares: the manifest and
+  /// the LRU stamps of its shards (engine.cc).
+  struct ShardGeneration;
+
+  /// What an epoch serves: a frozen model, or a manifest generation and
+  /// its shard slots (a loaded model per attached shard, null otherwise).
+  struct Source {
     std::shared_ptr<const core::PathWeightFunction> model;
+    std::shared_ptr<const ShardGeneration> generation;
+    core::ShardSet shards;
+  };
+
+  /// \brief One published model generation with a fixed set of attached
+  /// shards: the source plus the stack wired to it. Immutable once
+  /// published; requests pin it with one shared_ptr copy at entry, so a
+  /// replaced epoch (and its model arenas, mmap included) is torn down
+  /// exactly when its last in-flight request drops the pin. The QueryCache
+  /// and ThreadPool are engine-level and shared across epochs — cache keys
+  /// carry the generation fingerprint, so sharing is correctness-neutral.
+  struct Epoch {
+    Epoch(uint64_t sequence, Source source);
+    const uint64_t sequence;
+    const Source source;
+    const size_t resident;  // attached shards (0 for a single model)
+    const core::ModelView view;
     std::unique_ptr<core::HybridEstimator> estimator;
-    std::unique_ptr<routing::DfsStochasticRouter> router;  // iff graph set
+    /// Set iff options.graph is, and the view covers every edge (a single
+    /// model, or a manifest with every shard attached).
+    std::unique_ptr<routing::DfsStochasticRouter> router;
   };
 
   explicit Engine(EngineOptions options);
 
-  static StatusOr<std::unique_ptr<Engine>> Make(
-      EngineOptions options,
-      std::unique_ptr<core::PathWeightFunction> model);
+  /// Validates the options and builds the engine-level stack (cache,
+  /// pool, admission); the caller publishes the first epoch.
+  static StatusOr<std::unique_ptr<Engine>> Make(EngineOptions options);
+
+  /// Loads the model or manifest at `path`. A manifest's shard files are
+  /// verified first; the shards `current` (may be null) has attached keep
+  /// their model when their fingerprint is unchanged and reload when it
+  /// changed, the rest stay detached.
+  StatusOr<Source> Load(const std::string& path, const Epoch* current) const;
+
+  /// Loads shard `index` of `manifest` to attach it (fault site
+  /// "serving.shard.attach").
+  StatusOr<std::shared_ptr<const core::PathWeightFunction>> AttachShard(
+      const core::ShardManifest& manifest, size_t index) const;
 
   /// Wires a full epoch (estimator + edge fallback + router) around a
-  /// frozen model. Pure construction over validated input — no failure
-  /// mode; all swap failures happen before this, in the artifact load.
-  std::shared_ptr<const Epoch> BuildEpoch(
-      std::shared_ptr<const core::PathWeightFunction> model,
-      uint64_t sequence) const;
+  /// source. Pure construction over validated input — no failure mode; all
+  /// swap failures happen before this, in the artifact load.
+  std::shared_ptr<const Epoch> BuildEpoch(uint64_t sequence,
+                                          Source source) const;
 
   /// The epoch pin every request takes exactly once at entry.
   std::shared_ptr<const Epoch> CurrentEpoch() const;
 
-  /// Builds and publishes the next epoch; caller holds swap_mutex_.
-  uint64_t PublishLocked(std::shared_ptr<const core::PathWeightFunction> model);
+  /// \brief An epoch of `epoch`'s generation with every shard in `needed`
+  /// (sorted shard indices) attached: `epoch` itself when it has them and
+  /// respects the cap, else the newest epoch of that generation extended
+  /// by the missing shards and trimmed to the cap by evicting least
+  /// recently used shards not in `needed`. The extension is published
+  /// when its generation still serves. A single-model epoch is returned
+  /// as is.
+  StatusOr<std::shared_ptr<const Epoch>> WithShards(
+      std::shared_ptr<const Epoch> epoch,
+      const std::vector<size_t>& needed) const;
 
   /// Publishes an already-built epoch (epoch->sequence == next_sequence_),
   /// retaining the replaced epoch in the rollback ring when the policy
   /// keeps one; caller holds swap_mutex_.
   uint64_t PublishEpochLocked(std::shared_ptr<const Epoch> epoch);
 
-  /// Runs `probes` against the unpublished candidate; on the first probe
-  /// error or reference divergence counts a probe_failure and returns the
-  /// rejection Status (the candidate is then dropped unpublished).
-  Status VerifyCandidate(const Epoch& candidate,
+  /// Runs `probes` against the unpublished candidate, attaching the shards
+  /// they need to it; on the first probe error or reference divergence
+  /// counts a probe_failure and returns the rejection Status (the
+  /// candidate is then dropped unpublished).
+  Status VerifyCandidate(std::shared_ptr<const Epoch>* candidate,
                          const std::vector<GoldenProbe>& probes) const;
 
-  /// Builds the candidate epoch over `model`, verifies it with the
+  /// Builds the candidate epoch over `source`, verifies it with the
   /// per-call (or policy) probes, and publishes the very object that was
   /// verified; caller holds swap_mutex_.
-  StatusOr<uint64_t> VerifyAndPublishLocked(
-      std::shared_ptr<const core::PathWeightFunction> model,
-      const SwapOptions& swap_options);
+  StatusOr<uint64_t> VerifyAndPublishLocked(Source source,
+                                            const SwapOptions& swap_options);
 
   /// The one serve body behind Estimate and EstimateBatch: admission,
-  /// deadline set-up, resolution, estimation on `epoch`, and response
-  /// stamping for one request.
-  StatusOr<EstimateResponse> Serve(const Epoch& epoch,
+  /// deadline set-up, resolution, estimation on `epoch` (extended by the
+  /// shards the path needs), and response stamping for one request.
+  StatusOr<EstimateResponse> Serve(const std::shared_ptr<const Epoch>& pinned,
                                    const EstimateRequest& request) const;
 
   /// Bumps the deadline_exceeded / cancelled counter matching a request's
@@ -389,15 +449,19 @@ class Engine {
 
   EngineOptions options_;
   // Engine-level (epoch-independent) members; unique_ptr keeps their
-  // addresses stable for the epochs' estimators and routers. The pool is
-  // either owned here or borrowed from EngineOptions::shared_pool; pool_
-  // points at whichever serves, and every use goes through it.
+  // addresses stable for the epochs' estimators and routers.
   std::unique_ptr<core::QueryCache> cache_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  std::unique_ptr<ThreadPool> pool_;
   // The published epoch, read with std::atomic_load (one acquire per
-  // request) and replaced with std::atomic_store under swap_mutex_.
-  std::shared_ptr<const Epoch> epoch_;
+  // request); replaced under swap_mutex_ by a new generation, or under
+  // attach_mutex_ (compare-and-swap) by an extension of the same one,
+  // which const request paths publish.
+  mutable std::shared_ptr<const Epoch> epoch_;
+  // Serializes shard attach/evict decisions.
+  mutable std::mutex attach_mutex_;
+  mutable std::atomic<uint64_t> touch_clock_{0};  // shard LRU stamps
+  mutable std::atomic<uint64_t> shard_attaches_{0};
+  mutable std::atomic<uint64_t> shard_evictions_{0};
   // Serializes Swap/Rollback callers; mutable so const observers
   // (rollback_depth) can take it.
   mutable std::mutex swap_mutex_;

@@ -47,7 +47,6 @@
 #include "core/weight_function.h"
 #include "roadnet/shortest_path.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -122,11 +121,12 @@ class FaultSweepTest : public ::testing::Test {
       shard_files_->push_back(TempPath(shard.file));
     }
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(manifest_, std::move(options));
+      EngineOptions options;
+      options.model_path = manifest_;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       auto probe = sharded.value()->Estimate(ProbeRequest());
       ASSERT_TRUE(probe.ok()) << probe.status().ToString();
@@ -239,11 +239,12 @@ class FaultSweepTest : public ::testing::Test {
     ASSERT_TRUE(split.ok()) << split.status().ToString();
     ASSERT_TRUE(core::LoadShardManifest(m).ok());
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(m, std::move(options));
+      EngineOptions options;
+      options.model_path = m;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       ASSERT_TRUE(sharded.value()->Estimate(ProbeRequest()).ok());
     }
@@ -363,7 +364,7 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
       }
     }
 
-    // Sharded front door under the same fault. A fresh split may fail
+    // Manifest serving under the same fault. A fresh split may fail
     // (clean Status); a committed manifest implies its rename landed.
     const std::string fresh_manifest =
         Track(TempPath(Prefix() + ".it.pcdemf"));
@@ -377,16 +378,17 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
     if (split.ok()) {
       EXPECT_TRUE(std::filesystem::exists(fresh_manifest));
     }
-    // Manifest load + sharded open/serve against the known-good fixture
-    // generation: ok or clean failure, and a response that does land must
-    // be bit-identical to the disarmed sharded reference.
+    // Manifest load + Engine open/serve on the known-good fixture
+    // manifest: ok or clean failure, and a response that does land must
+    // be bit-identical to the disarmed manifest reference.
     (void)core::LoadShardManifest(manifest_);
     {
-      ShardedEngineOptions options;
-      options.engine.graph = graph_;
-      options.engine.num_threads = 1;
-      options.engine.query_cache_bytes = 0;
-      auto sharded = ShardedEngine::Open(manifest_, std::move(options));
+      EngineOptions options;
+      options.model_path = manifest_;
+      options.graph = graph_;
+      options.num_threads = 1;
+      options.query_cache_bytes = 0;
+      auto sharded = Engine::Open(std::move(options));
       if (sharded.ok()) {
         auto response = sharded.value()->Estimate(ProbeRequest());
         if (response.ok()) ExpectServedFromKnownGeneration(response);

@@ -4,6 +4,7 @@
 // sequential estimator without one.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "common/thread_pool.h"
@@ -12,7 +13,6 @@
 #include "core/query_cache.h"
 #include "hist/histogram1d.h"
 #include "hist/histogram_nd.h"
-#include "routing/stochastic_router.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -97,7 +97,22 @@ TEST(QueryCacheTest, OversizedEntriesAreNotAdmitted) {
   EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
 }
 
+/// A frozen one-variable model; `lo` sets its content, so models built with
+/// different `lo` differ in fingerprint.
+PathWeightFunction OneVariableModel(double lo) {
+  WeightFunctionBuilder builder(TimeBinning(30.0));
+  InstantiatedVariable var;
+  var.path = roadnet::Path({0});
+  var.interval = kAllDayInterval;
+  var.joint = hist::HistogramND::FromHistogram1D(TwoBucketHistogram(lo));
+  builder.Add(std::move(var));
+  return std::move(builder).Freeze();
+}
+
 TEST(QueryCacheTest, KeySeparatesOptionsTimeBucketPartsAndModel) {
+  const PathWeightFunction model = OneVariableModel(60.0);
+  const PathWeightFunction other = OneVariableModel(70.0);
+  ASSERT_NE(model.fingerprint(), other.fingerprint());
   InstantiatedVariable var;
   var.id = 9;
   const Decomposition de{DecompositionPart{&var, 3}};
@@ -105,25 +120,45 @@ TEST(QueryCacheTest, KeySeparatesOptionsTimeBucketPartsAndModel) {
   ChainOptions independent;
   independent.force_independence = true;
 
-  const auto base = QueryCache::MakeKey(de, 100.0, 300.0, fp, 1);
-  EXPECT_EQ(base, QueryCache::MakeKey(de, 250.0, 300.0, fp, 1));  // same bucket
-  EXPECT_NE(base, QueryCache::MakeKey(de, 400.0, 300.0, fp, 1));  // next bucket
+  const auto base = QueryCache::MakeKey(de, 100.0, 300.0, fp, model);
+  // Same bucket, then the next one.
+  EXPECT_EQ(base, QueryCache::MakeKey(de, 250.0, 300.0, fp, model));
+  EXPECT_NE(base, QueryCache::MakeKey(de, 400.0, 300.0, fp, model));
   EXPECT_NE(base,
             QueryCache::MakeKey(de, 100.0, 300.0,
-                                QueryCache::Fingerprint(independent), 1));
+                                QueryCache::Fingerprint(independent), model));
   const Decomposition shifted{DecompositionPart{&var, 4}};
-  EXPECT_NE(base, QueryCache::MakeKey(shifted, 100.0, 300.0, fp, 1));
+  EXPECT_NE(base, QueryCache::MakeKey(shifted, 100.0, 300.0, fp, model));
   // Keys carry frozen variable ids, not addresses: an equal-id variable at
   // a different address (a reloaded model) keys the same entry...
   InstantiatedVariable reloaded;
   reloaded.id = 9;
   const Decomposition same_id{DecompositionPart{&reloaded, 3}};
-  EXPECT_EQ(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, 1));
+  EXPECT_EQ(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, model));
   // ...while a different id or a different model fingerprint never
   // false-hits.
   reloaded.id = 10;
-  EXPECT_NE(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, 1));
-  EXPECT_NE(base, QueryCache::MakeKey(de, 100.0, 300.0, fp, 2));
+  EXPECT_NE(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, model));
+  EXPECT_NE(base, QueryCache::MakeKey(de, 100.0, 300.0, fp, other));
+}
+
+TEST(QueryCacheTest, SingleModelKeysAreFingerprintOptionsBucketThenIdStart) {
+  // The key layout of a single-model view, word for word: serving a model
+  // through a ModelView keys exactly the entries the model itself keyed.
+  const PathWeightFunction model = OneVariableModel(60.0);
+  InstantiatedVariable a;
+  a.id = 9;
+  InstantiatedVariable b;
+  b.id = 4;
+  const Decomposition de{DecompositionPart{&a, 0}, DecompositionPart{&b, 2}};
+  const uint64_t fp = QueryCache::Fingerprint(ChainOptions());
+  EXPECT_EQ(QueryCache::MakeKey(de, 700.0, 300.0, fp, model),
+            (QueryCache::Key{model.fingerprint(), fp, 2, 9, 0, 4, 2}));
+  // A departure before midnight buckets negative, as a two's-complement
+  // word.
+  EXPECT_EQ(QueryCache::MakeKey(de, -1.0, 300.0, fp, model),
+            (QueryCache::Key{model.fingerprint(), fp,
+                             static_cast<uint64_t>(int64_t{-1}), 9, 0, 4, 2}));
 }
 
 class CachedEstimationFixture : public ::testing::Test {
@@ -224,69 +259,6 @@ TEST_F(CachedEstimationFixture, BatchWithCacheMatchesSequentialWithout) {
   EXPECT_GE(cache.stats().hits, hits);
 }
 
-TEST(CachedRoutingTest, CachedRouterMatchesUncachedAndReusesResults) {
-  // A small grid with per-edge unit variables; routing the same query twice
-  // against a shared cache must return the uncached result and serve the
-  // second run's candidate-path distributions from the cache.
-  constexpr int kSide = 4;
-  roadnet::Graph g;
-  std::vector<roadnet::VertexId> v;
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      v.push_back(g.AddVertex(1000.0 * i, 1000.0 * j));
-    }
-  }
-  WeightFunctionBuilder wp_builder{TimeBinning(30.0)};
-  Rng rng(11);
-  auto connect = [&](roadnet::VertexId a, roadnet::VertexId b) {
-    const roadnet::EdgeId e = g.AddEdge(a, b, 1000.0, 13.9).value();
-    const double fast = rng.Uniform(60.0, 90.0);
-    InstantiatedVariable var;
-    var.path = roadnet::Path({e});
-    var.interval = kAllDayInterval;
-    var.joint = hist::HistogramND::FromHistogram1D(
-        Histogram1D::Make({{fast, fast + 30.0, 0.8},
-                           {fast + 60.0, fast + 120.0, 0.2}})
-            .value());
-    var.from_speed_limit = true;
-    wp_builder.Add(std::move(var));
-  };
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      if (i + 1 < kSide) connect(v[i * kSide + j], v[(i + 1) * kSide + j]);
-      if (j + 1 < kSide) connect(v[i * kSide + j], v[i * kSide + j + 1]);
-    }
-  }
-  const PathWeightFunction wp = std::move(wp_builder).Freeze();
-
-  routing::RouterConfig plain_config;
-  QueryCache cache;
-  routing::RouterConfig cached_config = plain_config;
-  cached_config.query_cache = &cache;
-  const routing::DfsStochasticRouter plain(g, wp, EstimateOptions(),
-                                           plain_config);
-  const routing::DfsStochasticRouter cached(g, wp, EstimateOptions(),
-                                            cached_config);
-
-  const double depart = 8 * 3600.0;
-  const double budget = 900.0;
-  auto want = plain.Route(v.front(), v.back(), depart, budget);
-  auto first = cached.Route(v.front(), v.back(), depart, budget);
-  auto second = cached.Route(v.front(), v.back(), depart, budget);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  for (const auto* got : {&first.value(), &second.value()}) {
-    EXPECT_DOUBLE_EQ(got->best_probability, want.value().best_probability);
-    EXPECT_EQ(got->best_path.edges(), want.value().best_path.edges());
-    EXPECT_EQ(got->candidate_paths, want.value().candidate_paths);
-  }
-  const QueryCacheStats stats = cache.stats();
-  EXPECT_GT(stats.insertions, 0u);
-  // The second run re-evaluates the same candidate paths: all hits.
-  EXPECT_GE(stats.hits, want.value().candidate_paths);
-}
-
 TEST_F(CachedEstimationFixture, RepeatedSingleQueriesHitTheCache) {
   QueryCache cache;
   HybridEstimator estimator(*wp_);
@@ -306,6 +278,33 @@ TEST_F(CachedEstimationFixture, RepeatedSingleQueriesHitTheCache) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
   ExpectBitIdentical(b, a, 0);
+}
+
+TEST_F(CachedEstimationFixture, EstimatorKeysSingleModelEntriesWordForWord) {
+  // The key an estimator over a single model inserts, spelled out without
+  // MakeKey: model fingerprint, chain-options fingerprint, 5-minute
+  // departure bucket, then (frozen id, start) per decomposition part.
+  QueryCache cache;
+  HybridEstimator estimator(*wp_);
+  estimator.set_query_cache(&cache);
+  const std::vector<Query> queries = MakeQueries(8);
+  ASSERT_FALSE(queries.empty());
+  for (const Query& q : queries) {
+    ASSERT_TRUE(
+        estimator.EstimateCostDistribution(q.path, q.departure_time).ok());
+    auto de = estimator.Decompose(q.path, q.departure_time);
+    ASSERT_TRUE(de.ok());
+    QueryCache::Key key{wp_->fingerprint(),
+                        QueryCache::Fingerprint(ChainOptions()),
+                        static_cast<uint64_t>(static_cast<int64_t>(
+                            std::floor(q.departure_time / 300.0)))};
+    for (const DecompositionPart& part : de.value()) {
+      key.push_back(part.variable->id);
+      key.push_back(part.start);
+    }
+    Histogram1D out;
+    EXPECT_TRUE(cache.Lookup(key, &out));
+  }
 }
 
 }  // namespace

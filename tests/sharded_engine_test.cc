@@ -1,37 +1,40 @@
-// Sharded serving (ISSUE 10): the shard compiler + manifest + routing
-// front door, tested against the monolithic Engine as ground truth.
+// Sharded serving: the shard compiler + PCDEMF1 manifest, served by
+// serving::Engine, tested against the engine over the unsplit model as
+// ground truth.
 //
-//  * Equivalence: across 1/2/4 shards and buffered/mmap inner engines, a
-//    path whose edges all fall in one shard's key range is served
-//    EXACTLY (bit-identical CostSummary) like the monolithic Engine on
-//    the unsplit artifact — the shard holds the same candidate rows in
-//    the same order. A 1-shard split even reproduces the source model's
+//  * Exactness: across 1/2/4 shards and buffered/mmap loads, every
+//    Estimate — in-shard and cross-shard paths, explicit and OD, cached
+//    or not — is bit-identical (summary, distribution, degradation,
+//    covered fraction) to the single-model engine, and every Route
+//    returns the same path, probability, expansions, and pruning and
+//    clone counters. A 1-shard split even reproduces the source model's
 //    fingerprint.
-//  * Stitch contract: cross-shard paths succeed, are flagged degradation
-//    >= kSubpath with a length-weighted covered_fraction, stamp the
-//    MANIFEST fingerprint, bump cross_shard_requests, and land within a
-//    documented tolerance of the monolithic mean.
-//  * Lazy attach + LRU: shards attach on first touch; max_resident_shards
-//    evicts least-recently-touched; per-shard resident bytes stay
-//    strictly below the monolithic model's.
-//  * Refresh: Swap is a no-op on the same generation, reloads changed
-//    shards on a new one, rejects re-sharding and corrupt/missing/short
-//    shard files with the old manifest still published.
+//  * Lazy attach + LRU: shards attach on first need; max_resident_shards
+//    evicts least-recently-used shards a request does not need; per-shard
+//    resident bytes stay strictly below the monolithic model's.
+//  * Refresh: Swap is a no-op on the same generation, reloads only the
+//    attached shards that changed on a new one, moves between shard counts
+//    and between a model and a manifest, and rejects corrupt, missing or
+//    short shard files with the old generation still published.
 //  * Corruption sweep (model_artifact_test pattern): byte-flips,
 //    truncations, and version skew on the manifest all fail
 //    LoadShardManifest/Open with clean Statuses.
-//  * Concurrency: EstimateBatch across shards under ASan/TSan serves
-//    bit-identically to sequential single-request serving.
+//  * Concurrency (run under ASan/TSan in CI): batches across shards on a
+//    pool, and batches plus Routes under an LRU cap of one shard while
+//    another thread swaps generations, all serve exactly.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,7 +44,6 @@
 #include "core/weight_function.h"
 #include "roadnet/shortest_path.h"
 #include "serving/engine.h"
-#include "serving/sharded_engine.h"
 #include "traj/generator.h"
 #include "traj/store.h"
 
@@ -74,13 +76,34 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-class ShardedEngineTest : public ::testing::Test {
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+/// Every RouteResponse field a search determines, the probability as hex;
+/// equal strings mean the two searches ran identically.
+std::string RouteFields(const RouteResponse& r) {
+  std::string out = "p=" + Hex(r.on_time_probability) + " path=";
+  for (roadnet::EdgeId e : r.best_path.edges()) out += std::to_string(e) + ",";
+  out += " expansions=" + std::to_string(r.expansions) +
+         " candidates=" + std::to_string(r.candidate_paths) +
+         " truncated=" + std::to_string(r.truncated) +
+         " bound=" + std::to_string(r.bound_pruned) +
+         " incumbent=" + std::to_string(r.incumbent_pruned) +
+         " dominance=" + std::to_string(r.dominance_pruned) +
+         " clones=" + std::to_string(r.estimator_clones);
+  return out;
+}
+
+class ShardedServingTest : public ::testing::Test {
  protected:
   static std::string Prefix() {
     return "pcde_sharded." + std::to_string(::getpid());
   }
 
-  /// Splits wp_ into `num_shards` shards under a tagged prefix and records
+  /// Splits `wp` into `num_shards` shards under a tagged prefix and records
   /// every file the generation owns for suite teardown.
   static std::string WriteGeneration(const PathWeightFunction& wp,
                                      const std::string& tag,
@@ -113,9 +136,13 @@ class ShardedEngineTest : public ::testing::Test {
     mono_bin_ = TempPath(Prefix() + ".mono.bin");
     ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_, mono_bin_).ok());
     files_->push_back(mono_bin_);
+    alt_bin_ = TempPath(Prefix() + ".alt.bin");
+    ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_alt_, alt_bin_).ok());
+    files_->push_back(alt_bin_);
     manifest1_ = WriteGeneration(*wp_, "g1", 1);
     manifest2_ = WriteGeneration(*wp_, "g2", 2);
     manifest4_ = WriteGeneration(*wp_, "g4", 4);
+    alt_manifest2_ = WriteGeneration(*wp_alt_, "galt", 2);
   }
 
   static void TearDownTestSuite() {
@@ -138,30 +165,28 @@ class ShardedEngineTest : public ::testing::Test {
     return p;
   }
 
-  static std::unique_ptr<Engine> OpenMono(bool use_mmap) {
+  /// An engine over `model_path` (a model artifact or a manifest) with the
+  /// options every comparison here shares: no cache, bounded routing.
+  static std::unique_ptr<Engine> OpenOn(const std::string& model_path,
+                                        bool use_mmap,
+                                        size_t max_resident_shards = 0,
+                                        size_t num_threads = 1) {
     EngineOptions options;
-    options.model_path = mono_bin_;
+    options.model_path = model_path;
     options.graph = graph_;
-    options.num_threads = 1;
+    options.num_threads = num_threads;
     options.query_cache_bytes = 0;
     options.use_mmap = use_mmap;
+    options.max_resident_shards = max_resident_shards;
+    options.route_max_expansions = 20000;
+    options.route_max_path_edges = 24;
     auto engine = Engine::Open(std::move(options));
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
     return engine.ok() ? std::move(engine).value() : nullptr;
   }
 
-  static std::unique_ptr<ShardedEngine> OpenSharded(
-      const std::string& manifest, bool use_mmap,
-      size_t max_resident_shards = 0, size_t num_threads = 1) {
-    ShardedEngineOptions options;
-    options.engine.graph = graph_;
-    options.engine.num_threads = num_threads;
-    options.engine.query_cache_bytes = 0;
-    options.engine.use_mmap = use_mmap;
-    options.max_resident_shards = max_resident_shards;
-    auto engine = ShardedEngine::Open(manifest, std::move(options));
-    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-    return engine.ok() ? std::move(engine).value() : nullptr;
+  static size_t Resident(const Engine& engine) {
+    return engine.stats().shards_resident;
   }
 
   static Path PathBetween(VertexId from, VertexId to) {
@@ -171,11 +196,31 @@ class ShardedEngineTest : public ::testing::Test {
     return p.ok() ? p.value() : Path();
   }
 
-  static EstimateRequest RequestFor(Path path) {
+  static EstimateRequest RequestFor(PathSpec spec) {
     EstimateRequest request;
-    request.path = PathSpec::ExplicitPath(std::move(path));
+    request.path = std::move(spec);
     request.departure_time = kDepart;
+    request.stats = kStatAll;
+    request.budget_seconds = 900.0;
+    request.quantiles = {0.5, 0.9};
+    request.want_distribution = true;
     return request;
+  }
+  static EstimateRequest RequestFor(Path path) {
+    return RequestFor(PathSpec::ExplicitPath(std::move(path)));
+  }
+
+  /// Expects `got` to be exactly `want`: summary (degradation and covered
+  /// fraction included), distribution, and resolved path.
+  static void ExpectSameAnswer(const StatusOr<EstimateResponse>& got,
+                               const StatusOr<EstimateResponse>& want) {
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->summary.ExactlyEquals(want->summary));
+    ASSERT_TRUE(got->distribution.has_value());
+    ASSERT_TRUE(want->distribution.has_value());
+    EXPECT_TRUE(got->distribution->BitIdentical(*want->distribution));
+    EXPECT_EQ(got->resolved_path.edges(), want->resolved_path.edges());
   }
 
   static bool SingleShard(const ShardManifest& manifest, const Path& path) {
@@ -188,8 +233,8 @@ class ShardedEngineTest : public ::testing::Test {
 
   /// Scans shortest paths over a grid of OD pairs and splits them by
   /// whether every edge falls in one shard of `manifest`. The fixture
-  /// models are dense enough that both buckets must be non-empty for
-  /// any multi-shard split.
+  /// models are dense enough that both buckets are non-empty for any
+  /// multi-shard split.
   static void ClassifyPaths(const ShardManifest& manifest,
                             std::vector<Path>* in_shard,
                             std::vector<Path>* cross_shard) {
@@ -204,34 +249,66 @@ class ShardedEngineTest : public ::testing::Test {
     }
   }
 
+  /// Route requests across the 2- and 4-shard boundaries. Sampled travel
+  /// beats free flow here, so 0.95x the free-flow time leaves the on-time
+  /// probability strictly between 0 and 1 within a few thousand
+  /// expansions.
+  static std::vector<RouteRequest> RouteRequests() {
+    std::vector<RouteRequest> requests;
+    const std::pair<VertexId, VertexId> ods[] = {
+        {308, 349}, {322, 363}, {343, 384}};
+    for (const auto& od : ods) {
+      const double min_time = roadnet::ShortestPathCost(
+          *graph_, od.first, od.second, roadnet::FreeFlowWeight(*graph_));
+      EXPECT_LT(min_time, roadnet::kInfCost);
+      for (const bool pruned : {false, true}) {
+        RouteRequest request;
+        request.from = od.first;
+        request.to = od.second;
+        request.departure_time = kDepart;
+        request.budget_seconds = min_time * 0.95;
+        request.use_pruning_override = true;
+        request.pruning.incumbent = pruned;
+        request.pruning.dominance = pruned;
+        request.pruning.cheap_first = pruned;
+        requests.push_back(request);
+      }
+    }
+    return requests;
+  }
+
   static traj::Dataset* dataset_;
   static const Graph* graph_;
   static PathWeightFunction* wp_;      // trajectory-instantiated generation
   static PathWeightFunction* wp_alt_;  // speed-limit-only generation
   static std::string mono_bin_;
+  static std::string alt_bin_;
   static std::string manifest1_;
   static std::string manifest2_;
   static std::string manifest4_;
+  static std::string alt_manifest2_;
   static std::vector<std::string>* files_;
   std::vector<std::string> cleanup_;
 };
 
-traj::Dataset* ShardedEngineTest::dataset_ = nullptr;
-const Graph* ShardedEngineTest::graph_ = nullptr;
-PathWeightFunction* ShardedEngineTest::wp_ = nullptr;
-PathWeightFunction* ShardedEngineTest::wp_alt_ = nullptr;
-std::string ShardedEngineTest::mono_bin_;
-std::string ShardedEngineTest::manifest1_;
-std::string ShardedEngineTest::manifest2_;
-std::string ShardedEngineTest::manifest4_;
-std::vector<std::string>* ShardedEngineTest::files_ =
+traj::Dataset* ShardedServingTest::dataset_ = nullptr;
+const Graph* ShardedServingTest::graph_ = nullptr;
+PathWeightFunction* ShardedServingTest::wp_ = nullptr;
+PathWeightFunction* ShardedServingTest::wp_alt_ = nullptr;
+std::string ShardedServingTest::mono_bin_;
+std::string ShardedServingTest::alt_bin_;
+std::string ShardedServingTest::manifest1_;
+std::string ShardedServingTest::manifest2_;
+std::string ShardedServingTest::manifest4_;
+std::string ShardedServingTest::alt_manifest2_;
+std::vector<std::string>* ShardedServingTest::files_ =
     new std::vector<std::string>();
 
 // ---------------------------------------------------------------------------
 // Shard compiler + manifest round trip
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedEngineTest, ManifestRoundTripsAndPartitionsTheKeySpace) {
+TEST_F(ShardedServingTest, ManifestRoundTripsAndPartitionsTheKeySpace) {
   for (const std::string* manifest_path :
        {&manifest1_, &manifest2_, &manifest4_}) {
     auto loaded = core::LoadShardManifest(*manifest_path);
@@ -239,6 +316,8 @@ TEST_F(ShardedEngineTest, ManifestRoundTripsAndPartitionsTheKeySpace) {
     const ShardManifest& manifest = loaded.value();
     EXPECT_EQ(manifest.source_fingerprint, wp_->fingerprint());
     EXPECT_NE(manifest.fingerprint, 0u);
+    EXPECT_EQ(manifest.dir,
+              std::filesystem::temp_directory_path().string());
     ASSERT_FALSE(manifest.shards.empty());
     EXPECT_EQ(manifest.shards.front().key_lo, 0u);
     EXPECT_EQ(manifest.shards.back().key_hi, core::kMaxArtifactEdgeId - 1);
@@ -247,24 +326,24 @@ TEST_F(ShardedEngineTest, ManifestRoundTripsAndPartitionsTheKeySpace) {
     }
     // Every shard artifact exists next to the manifest with the declared
     // size and fingerprint.
+    EXPECT_TRUE(core::VerifyShardFiles(manifest).ok());
     size_t total_vars = 0;
-    for (const auto& shard : manifest.shards) {
-      const std::string path = TempPath(shard.file);
-      ASSERT_TRUE(std::filesystem::exists(path)) << path;
-      EXPECT_EQ(std::filesystem::file_size(path), shard.bytes);
-      auto peek = core::PeekBinaryArtifactFingerprint(path);
-      ASSERT_TRUE(peek.ok()) << peek.status().ToString();
-      EXPECT_EQ(peek.value(), shard.fingerprint);
-      auto wp = core::LoadWeightFunctionBinary(path, /*use_mmap=*/false);
+    for (size_t s = 0; s < manifest.shards.size(); ++s) {
+      const std::string path = TempPath(manifest.shards[s].file);
+      EXPECT_EQ(std::filesystem::file_size(path), manifest.shards[s].bytes);
+      auto wp = core::LoadShard(manifest, s, /*use_mmap=*/false);
       ASSERT_TRUE(wp.ok()) << wp.status().ToString();
+      EXPECT_EQ(wp.value().fingerprint(), manifest.shards[s].fingerprint);
       total_vars += wp.value().NumVariables();
     }
     // The shards partition the variable set: no loss, no duplication.
     EXPECT_EQ(total_vars, wp_->NumVariables());
+    EXPECT_TRUE(core::IsShardManifest(*manifest_path));
   }
+  EXPECT_FALSE(core::IsShardManifest(mono_bin_));
 }
 
-TEST_F(ShardedEngineTest, SingleShardSplitReproducesTheSourceFingerprint) {
+TEST_F(ShardedServingTest, SingleShardSplitReproducesTheSourceFingerprint) {
   auto loaded = core::LoadShardManifest(manifest1_);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded.value().shards.size(), 1u);
@@ -273,7 +352,7 @@ TEST_F(ShardedEngineTest, SingleShardSplitReproducesTheSourceFingerprint) {
   EXPECT_EQ(loaded.value().shards[0].fingerprint, wp_->fingerprint());
 }
 
-TEST_F(ShardedEngineTest, WriterRejectsBadOptions) {
+TEST_F(ShardedServingTest, WriterRejectsBadOptions) {
   const std::string manifest = Track(TempPath(Prefix() + ".bad.pcdemf"));
   ShardWriteOptions zero;
   zero.num_shards = 0;
@@ -291,78 +370,140 @@ TEST_F(ShardedEngineTest, WriterRejectsBadOptions) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: single-shard paths are bit-identical to the monolith
+// Exactness: every answer is the single model's
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedEngineTest, SingleShardPathsServeBitIdenticallyToMonolithic) {
+TEST_F(ShardedServingTest, EveryEstimateIsExactAtOneTwoAndFourShards) {
   for (const std::string* manifest_path :
        {&manifest1_, &manifest2_, &manifest4_}) {
     auto loaded = core::LoadShardManifest(*manifest_path);
     ASSERT_TRUE(loaded.ok());
+    const ShardManifest& manifest = loaded.value();
     std::vector<Path> in_shard;
     std::vector<Path> cross_shard;
-    ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
-    ASSERT_GE(in_shard.size(), 3u)
-        << "fixture graph yields too few single-shard paths";
-    if (loaded.value().shards.size() == 1) {
-      EXPECT_TRUE(cross_shard.empty())
-          << "one shard owns the whole key space";
+    ClassifyPaths(manifest, &in_shard, &cross_shard);
+    ASSERT_GE(in_shard.size(), 3u);
+    if (manifest.shards.size() == 1) {
+      EXPECT_TRUE(cross_shard.empty()) << "one shard owns the whole key space";
+    } else {
+      ASSERT_GE(cross_shard.size(), 3u) << "no cross-shard paths to check";
+    }
+    std::vector<EstimateRequest> requests;
+    for (const std::vector<Path>* paths : {&in_shard, &cross_shard}) {
+      for (const Path& path : *paths) requests.push_back(RequestFor(path));
+    }
+    // OD requests resolve to the same free-flow paths, cross-shard ones
+    // included.
+    for (VertexId v = 0; v + 41 < graph_->NumVertices(); v += 29) {
+      requests.push_back(RequestFor(PathSpec::OdPair(v, v + 41)));
     }
     for (const bool use_mmap : {false, true}) {
       SCOPED_TRACE(std::string("shards=") +
-                   std::to_string(loaded.value().shards.size()) +
+                   std::to_string(manifest.shards.size()) +
                    " mmap=" + std::to_string(use_mmap));
-      auto mono = OpenMono(use_mmap);
-      auto sharded = OpenSharded(*manifest_path, use_mmap);
+      auto mono = OpenOn(mono_bin_, use_mmap);
+      auto sharded = OpenOn(*manifest_path, use_mmap);
       ASSERT_NE(mono, nullptr);
       ASSERT_NE(sharded, nullptr);
-      for (const Path& path : in_shard) {
-        EstimateRequest request = RequestFor(path);
-        request.want_distribution = true;
-        auto expected = mono->Estimate(request);
+      for (const EstimateRequest& request : requests) {
         auto got = sharded->Estimate(request);
-        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_TRUE(got->summary.ExactlyEquals(expected->summary))
-            << "single-shard path must serve bit-identically";
-        ASSERT_TRUE(got->distribution.has_value());
-        EXPECT_TRUE(
-            got->distribution->BitIdentical(expected->distribution.value()));
-        EXPECT_EQ(got->resolved_path.edges(), expected->resolved_path.edges());
-        // Provenance: the manifest generation and the sharded epoch, not
-        // the inner shard's.
-        EXPECT_EQ(got->model_fingerprint, loaded.value().fingerprint);
+        ExpectSameAnswer(got, mono->Estimate(request));
+        if (!got.ok()) continue;
+        // Provenance: the manifest generation and the engine's epoch.
+        EXPECT_EQ(got->model_fingerprint, manifest.fingerprint);
         EXPECT_EQ(got->epoch, 1u);
       }
-      EXPECT_EQ(sharded->stats().cross_shard_requests, 0u);
+      EXPECT_EQ(sharded->model_fingerprint(), manifest.fingerprint);
+      EXPECT_EQ(sharded->model_snapshot(), nullptr);
     }
   }
 }
 
-TEST_F(ShardedEngineTest, OdRequestsResolveAndRouteIdentically) {
-  auto mono = OpenMono(/*use_mmap=*/false);
-  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
+TEST_F(ShardedServingTest, EveryRouteIsExactAtOneTwoAndFourShards) {
+  const std::vector<RouteRequest> requests = RouteRequests();
+  auto loaded = core::LoadShardManifest(manifest2_);
+  ASSERT_TRUE(loaded.ok());
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
   ASSERT_NE(mono, nullptr);
-  ASSERT_NE(sharded, nullptr);
-  auto manifest = sharded->manifest_snapshot();
-  const std::pair<VertexId, VertexId> ods[] = {{0, 30}, {5, 40}, {2, 61}};
-  for (const auto& od : ods) {
-    EstimateRequest request;
-    request.path = PathSpec::OdPair(od.first, od.second);
-    request.departure_time = kDepart;
-    auto expected = mono->Estimate(request);
-    auto got = sharded->Estimate(request);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    // Both front doors resolve the same deterministic free-flow path.
-    EXPECT_EQ(got->resolved_path.edges(), expected->resolved_path.edges());
-    if (SingleShard(*manifest, got->resolved_path)) {
-      EXPECT_TRUE(got->summary.ExactlyEquals(expected->summary));
-    } else {
-      EXPECT_GE(got->summary.degradation, core::DegradationLevel::kSubpath);
+  std::vector<std::string> want;
+  size_t crossing = 0;
+  for (const RouteRequest& request : requests) {
+    auto response = mono->Route(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_GT(response->on_time_probability, 0.0);
+    EXPECT_LT(response->on_time_probability, 1.0);
+    EXPECT_FALSE(response->truncated);
+    if (!SingleShard(loaded.value(), response->best_path)) ++crossing;
+    want.push_back(RouteFields(response.value()));
+  }
+  EXPECT_GT(crossing, 0u) << "no best route crosses the 2-shard boundary";
+  for (const std::string* manifest_path :
+       {&manifest1_, &manifest2_, &manifest4_}) {
+    for (const bool use_mmap : {false, true}) {
+      SCOPED_TRACE(*manifest_path + " mmap=" + std::to_string(use_mmap));
+      auto sharded = OpenOn(*manifest_path, use_mmap);
+      ASSERT_NE(sharded, nullptr);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        auto got = sharded->Route(requests[i]);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(RouteFields(got.value()), want[i]) << "route " << i;
+        EXPECT_EQ(got->model_fingerprint, sharded->model_fingerprint());
+      }
     }
   }
-  // Bad specs fail like the monolithic engine.
+}
+
+TEST_F(ShardedServingTest, CachedServingIsExactAndCacheKeysTagTheShard) {
+  auto loaded = core::LoadShardManifest(manifest4_);
+  ASSERT_TRUE(loaded.ok());
+  EngineOptions options;
+  options.model_path = manifest4_;
+  options.graph = graph_;
+  options.num_threads = 1;
+  options.query_cache_bytes = size_t{8} << 20;
+  auto cached = Engine::Open(std::move(options));
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
+  ASSERT_NE(mono, nullptr);
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  // The second pass is served from the cache, and still exactly.
+  for (const bool warm : {false, true}) {
+    for (const std::vector<Path>* paths : {&in_shard, &cross_shard}) {
+      for (const Path& path : *paths) {
+        auto got = cached.value()->Estimate(RequestFor(path));
+        ExpectSameAnswer(got, mono->Estimate(RequestFor(path)));
+        if (got.ok()) {
+          EXPECT_EQ(got->served_from_cache, warm);
+        }
+      }
+    }
+  }
+
+  // Frozen ids restart at 0 in every shard, so a manifest view keys a
+  // variable by its shard too; a bare id would collide across shards.
+  core::ShardSet shards;
+  shards.manifest = std::make_shared<ShardManifest>(loaded.value());
+  for (size_t s = 0; s < 2; ++s) {
+    auto model = core::LoadShard(loaded.value(), s, /*use_mmap=*/false);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    shards.models.push_back(
+        std::make_shared<const PathWeightFunction>(std::move(model).value()));
+  }
+  const core::ModelView view(shards);
+  const core::InstantiatedVariable& first0 = shards.models[0]->variables()[0];
+  const core::InstantiatedVariable& first1 = shards.models[1]->variables()[0];
+  ASSERT_EQ(first0.id, first1.id);
+  EXPECT_EQ(view.KeyId(first0), first0.id);
+  EXPECT_EQ(view.KeyId(first1), (uint64_t{1} << 32) | first1.id);
+  EXPECT_EQ(view.fingerprint(), loaded.value().fingerprint);
+}
+
+TEST_F(ShardedServingTest, BadSpecsFailLikeTheSingleModel) {
+  auto sharded = OpenOn(manifest2_, /*use_mmap=*/false);
+  ASSERT_NE(sharded, nullptr);
   EstimateRequest bad;
   bad.path = PathSpec::OdPair(0, 0);
   EXPECT_EQ(sharded->Estimate(bad).status().code(),
@@ -370,81 +511,32 @@ TEST_F(ShardedEngineTest, OdRequestsResolveAndRouteIdentically) {
   bad.path = PathSpec::ExplicitPath(Path());
   EXPECT_EQ(sharded->Estimate(bad).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard stitch contract
-// ---------------------------------------------------------------------------
-
-TEST_F(ShardedEngineTest, CrossShardPathsStitchWithHonestProvenance) {
-  auto loaded = core::LoadShardManifest(manifest2_);
-  ASSERT_TRUE(loaded.ok());
-  std::vector<Path> in_shard;
-  std::vector<Path> cross_shard;
-  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
-  ASSERT_GE(cross_shard.size(), 2u)
-      << "fixture graph yields no cross-shard paths at 2 shards";
-
-  auto mono = OpenMono(/*use_mmap=*/false);
-  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
-  ASSERT_NE(mono, nullptr);
-  ASSERT_NE(sharded, nullptr);
-
-  uint64_t expected_cross = 0;
-  for (const Path& path : cross_shard) {
-    EstimateRequest request = RequestFor(path);
-    request.want_distribution = true;
-    auto expected = mono->Estimate(request);
-    auto got = sharded->Estimate(request);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ++expected_cross;
-    // The stitch is explicitly degraded: never reported as exact, coverage
-    // length-weighted over the segments.
-    EXPECT_GE(got->summary.degradation, core::DegradationLevel::kSubpath);
-    EXPECT_GT(got->summary.covered_fraction, 0.0);
-    EXPECT_LE(got->summary.covered_fraction, 1.0);
-    EXPECT_EQ(got->model_fingerprint, loaded.value().fingerprint);
-    ASSERT_TRUE(got->distribution.has_value());
-    // Documented accuracy contract: the boundary severs the decomposition,
-    // so the stitched mean tracks — but need not equal — the monolithic
-    // mean (docs/serving.md "Sharded serving").
-    EXPECT_GT(got->summary.mean, 0.0);
-    EXPECT_NEAR(got->summary.mean, expected->summary.mean,
-                0.25 * expected->summary.mean);
-    EXPECT_GE(got->summary.support_lo, 0.0);
-    EXPECT_EQ(got->resolved_path.edges(), path.edges());
-  }
-  EXPECT_EQ(sharded->stats().cross_shard_requests, expected_cross);
-  // The stitch is deterministic: repeating a request reproduces the answer
-  // bit for bit.
-  auto once = sharded->Estimate(RequestFor(cross_shard[0]));
-  auto twice = sharded->Estimate(RequestFor(cross_shard[0]));
-  ASSERT_TRUE(once.ok());
-  ASSERT_TRUE(twice.ok());
-  EXPECT_TRUE(once->summary.ExactlyEquals(twice->summary));
+  // Nothing attaches for a request that never resolves.
+  EXPECT_EQ(Resident(*sharded), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Lazy attach, LRU cap, resident bytes
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedEngineTest, ShardsAttachLazilyAndLruCapEvicts) {
+TEST_F(ShardedServingTest, ShardsAttachLazilyAndLruCapEvicts) {
   auto loaded = core::LoadShardManifest(manifest4_);
   ASSERT_TRUE(loaded.ok());
-  auto sharded = OpenSharded(manifest4_, /*use_mmap=*/false,
-                             /*max_resident_shards=*/1);
+  auto sharded = OpenOn(manifest4_, /*use_mmap=*/false,
+                        /*max_resident_shards=*/1);
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->num_shards(), 4u);
+  ASSERT_NE(mono, nullptr);
   // Open loads no payload: nothing resident until the first request.
-  EXPECT_EQ(sharded->resident_shards(), 0u);
-  EXPECT_EQ(sharded->ResidentBytes(), 0u);
+  EXPECT_EQ(sharded->ResidentShardBytes(), std::vector<size_t>(4, 0));
+  EXPECT_EQ(Resident(*sharded), 0u);
 
   // Serve paths owned by at least two distinct shards.
   std::vector<Path> in_shard;
   std::vector<Path> cross_shard;
   ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
   ASSERT_GE(in_shard.size(), 2u);
+  ASSERT_FALSE(cross_shard.empty());
   size_t distinct_owners = 0;
   std::vector<bool> seen(4, false);
   for (const Path& path : in_shard) {
@@ -453,53 +545,77 @@ TEST_F(ShardedEngineTest, ShardsAttachLazilyAndLruCapEvicts) {
       seen[owner] = true;
       ++distinct_owners;
     }
-    auto response = sharded->Estimate(RequestFor(path));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    // The cap holds at every step, not just at the end.
-    EXPECT_LE(sharded->resident_shards(), 1u);
+    ExpectSameAnswer(sharded->Estimate(RequestFor(path)),
+                     mono->Estimate(RequestFor(path)));
+    // The cap holds at every step, and the shard attached is the one the
+    // path needs.
+    EXPECT_EQ(Resident(*sharded), 1u);
+    EXPECT_GT(sharded->ResidentShardBytes()[owner], 0u);
   }
   ASSERT_GE(distinct_owners, 2u)
       << "fixture paths all landed in one shard; widen the OD scan";
-
   const EngineStats stats = sharded->stats();
-  EXPECT_EQ(stats.shards_resident, 1u);
   EXPECT_GE(stats.shard_attaches, distinct_owners);
   EXPECT_GE(stats.shard_evictions, distinct_owners - 1);
-  // A cross-shard request under cap=1 still works: each segment's attach
-  // evicts the other shard, in-flight segments finish on pinned engines.
-  if (!cross_shard.empty()) {
-    auto stitched = sharded->Estimate(RequestFor(cross_shard[0]));
-    ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
-    EXPECT_LE(sharded->resident_shards(), 1u);
+
+  // A cross-shard request keeps every shard it needs, past the cap; the
+  // next request that needs fewer evicts back down to it.
+  const Path& cross = cross_shard[0];
+  ExpectSameAnswer(sharded->Estimate(RequestFor(cross)),
+                   mono->Estimate(RequestFor(cross)));
+  std::vector<bool> needed(4, false);
+  size_t num_needed = 0;
+  for (roadnet::EdgeId e : cross.edges()) {
+    const size_t s = loaded.value().ShardOf(e);
+    if (!needed[s]) ++num_needed;
+    needed[s] = true;
   }
+  EXPECT_EQ(Resident(*sharded), num_needed);
+  ASSERT_TRUE(sharded->Estimate(RequestFor(in_shard[0])).ok());
+  EXPECT_EQ(Resident(*sharded), 1u);
+
+  // A Route needs every shard; it attaches them all and answers exactly.
+  const RouteRequest route = RouteRequests()[1];
+  auto routed = sharded->Route(route);
+  auto expected = mono->Route(route);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(RouteFields(routed.value()), RouteFields(expected.value()));
+  EXPECT_EQ(Resident(*sharded), 4u);
+  ASSERT_TRUE(sharded->Estimate(RequestFor(in_shard[0])).ok());
+  EXPECT_EQ(Resident(*sharded), 1u);
 }
 
-TEST_F(ShardedEngineTest, PerShardResidentBytesStayBelowMonolithic) {
-  auto mono = OpenMono(/*use_mmap=*/false);
+TEST_F(ShardedServingTest, PerShardResidentBytesStayBelowMonolithic) {
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
   ASSERT_NE(mono, nullptr);
-  const size_t mono_bytes = mono->model().ResidentBytes();
+  ASSERT_EQ(mono->ResidentShardBytes().size(), 1u);
+  const size_t mono_bytes = mono->ResidentShardBytes()[0];
+  EXPECT_EQ(mono_bytes, mono->model().ResidentBytes());
   ASSERT_GT(mono_bytes, 0u);
   for (const std::string* manifest_path : {&manifest2_, &manifest4_}) {
     auto loaded = core::LoadShardManifest(*manifest_path);
     ASSERT_TRUE(loaded.ok());
-    auto sharded = OpenSharded(*manifest_path, /*use_mmap=*/false);
+    auto sharded = OpenOn(*manifest_path, /*use_mmap=*/false);
     ASSERT_NE(sharded, nullptr);
     // Touch every shard so all are attached (unbounded cap).
     std::vector<Path> in_shard;
     std::vector<Path> cross_shard;
     ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
-    for (const Path& path : in_shard) {
-      ASSERT_TRUE(sharded->Estimate(RequestFor(path)).ok());
+    for (const std::vector<Path>* paths : {&in_shard, &cross_shard}) {
+      for (const Path& path : *paths) {
+        ASSERT_TRUE(sharded->Estimate(RequestFor(path)).ok());
+      }
     }
-    for (const Path& path : cross_shard) {
-      ASSERT_TRUE(sharded->Estimate(RequestFor(path)).ok());
-    }
-    ASSERT_GT(sharded->resident_shards(), 1u);
+    const std::vector<size_t> bytes = sharded->ResidentShardBytes();
+    ASSERT_EQ(bytes.size(), loaded.value().shards.size());
+    EXPECT_EQ(Resident(*sharded), bytes.size());
     // The flat-memory claim sharding exists for: no single shard is as
     // large as the monolithic model.
-    EXPECT_LT(sharded->MaxShardResidentBytes(), mono_bytes)
-        << "at " << loaded.value().shards.size() << " shards";
-    EXPECT_GT(sharded->MaxShardResidentBytes(), 0u);
+    for (size_t b : bytes) {
+      EXPECT_GT(b, 0u);
+      EXPECT_LT(b, mono_bytes) << "at " << bytes.size() << " shards";
+    }
   }
 }
 
@@ -507,10 +623,10 @@ TEST_F(ShardedEngineTest, PerShardResidentBytesStayBelowMonolithic) {
 // Per-shard refresh (Swap)
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
-  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
+TEST_F(ShardedServingTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
+  auto sharded = OpenOn(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t gen_a = sharded->manifest_fingerprint();
+  const uint64_t gen_a = sharded->model_fingerprint();
   // Attach both shards first so the swap exercises the reload path.
   auto loaded = core::LoadShardManifest(manifest2_);
   ASSERT_TRUE(loaded.ok());
@@ -519,90 +635,143 @@ TEST_F(ShardedEngineTest, SwapIsNoOpOnSameGenerationAndReloadsOnNewOne) {
   ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
   ASSERT_FALSE(cross_shard.empty());
   ASSERT_TRUE(sharded->Estimate(RequestFor(cross_shard[0])).ok());
-  ASSERT_EQ(sharded->resident_shards(), 2u);
+  ASSERT_EQ(Resident(*sharded), 2u);
 
   // Same generation: short-circuit, same epoch, nothing reloads.
   auto noop = sharded->Swap(manifest2_);
   ASSERT_TRUE(noop.ok()) << noop.status().ToString();
   EXPECT_EQ(noop.value(), 1u);
   EXPECT_EQ(sharded->epoch_sequence(), 1u);
+  EXPECT_EQ(sharded->stats().shard_attaches, 2u);
 
   // A new generation (different model, same shard count, fresh files):
-  // the swap publishes it and responses restamp.
-  const std::string alt_manifest = WriteGeneration(*wp_alt_, "galt", 2);
-  auto swapped = sharded->Swap(alt_manifest);
+  // the swap publishes it, attached shards reload, responses restamp.
+  auto swapped = sharded->Swap(alt_manifest2_);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_EQ(swapped.value(), 2u);
-  EXPECT_NE(sharded->manifest_fingerprint(), gen_a);
-
-  // Served answers now ExactlyEqual a monolithic engine on the alt model
-  // for single-shard paths of the NEW manifest.
-  const std::string alt_bin = Track(TempPath(Prefix() + ".alt.bin"));
-  ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_alt_, alt_bin).ok());
-  EngineOptions mono_options;
-  mono_options.model_path = alt_bin;
-  mono_options.graph = graph_;
-  mono_options.num_threads = 1;
-  mono_options.query_cache_bytes = 0;
-  auto mono_alt = Engine::Open(std::move(mono_options));
-  ASSERT_TRUE(mono_alt.ok()) << mono_alt.status().ToString();
-  auto alt_loaded = core::LoadShardManifest(alt_manifest);
+  auto alt_loaded = core::LoadShardManifest(alt_manifest2_);
   ASSERT_TRUE(alt_loaded.ok());
-  size_t checked = 0;
-  for (const Path& path : in_shard) {
-    if (!SingleShard(alt_loaded.value(), path)) continue;
-    auto expected = mono_alt.value()->Estimate(RequestFor(path));
-    auto got = sharded->Estimate(RequestFor(path));
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(got->summary.ExactlyEquals(expected->summary));
-    EXPECT_EQ(got->model_fingerprint, alt_loaded.value().fingerprint);
-    EXPECT_EQ(got->epoch, 2u);
-    ++checked;
+  EXPECT_EQ(sharded->model_fingerprint(), alt_loaded.value().fingerprint);
+  EXPECT_EQ(Resident(*sharded), 2u);
+
+  // Served answers now ExactlyEqual a single-model engine on the alt
+  // model, on every path.
+  auto mono_alt = OpenOn(alt_bin_, /*use_mmap=*/false);
+  ASSERT_NE(mono_alt, nullptr);
+  for (const std::vector<Path>* paths : {&in_shard, &cross_shard}) {
+    for (const Path& path : *paths) {
+      auto got = sharded->Estimate(RequestFor(path));
+      ExpectSameAnswer(got, mono_alt->Estimate(RequestFor(path)));
+      if (!got.ok()) continue;
+      EXPECT_EQ(got->model_fingerprint, alt_loaded.value().fingerprint);
+      EXPECT_EQ(got->epoch, 2u);
+    }
   }
-  EXPECT_GT(checked, 0u) << "no single-shard path under the alt partition";
 
   // And back: the original generation republishes under epoch 3.
   auto back = sharded->Swap(manifest2_);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), 3u);
-  EXPECT_EQ(sharded->manifest_fingerprint(), gen_a);
+  EXPECT_EQ(sharded->model_fingerprint(), gen_a);
 }
 
-TEST_F(ShardedEngineTest, SwapRejectsReshardingWithOldManifestIntact) {
-  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
+TEST_F(ShardedServingTest, PerShardRefreshReloadsOnlyChangedShards) {
+  auto loaded = core::LoadShardManifest(manifest2_);
+  ASSERT_TRUE(loaded.ok());
+  const ShardManifest& before = loaded.value();
+  // A generation that differs from wp_ in one variable owned by shard 1:
+  // the same variable counts per front edge, so the same key ranges, and
+  // shard 0 byte-identical.
+  core::WeightFunctionBuilder builder =
+      core::WeightFunctionBuilder::FromFrozen(*wp_);
+  bool changed = false;
+  for (const core::InstantiatedVariable& v : wp_->variables()) {
+    if (before.ShardOf(v.path.front()) != 1) continue;
+    core::InstantiatedVariable copy = v;
+    copy.support += 1;
+    builder.Add(std::move(copy));
+    changed = true;
+    break;
+  }
+  ASSERT_TRUE(changed);
+  const PathWeightFunction edited = std::move(builder).Freeze();
+  const std::string edited_manifest = WriteGeneration(edited, "edit", 2);
+  auto after = core::LoadShardManifest(edited_manifest);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after.value().shards.size(), 2u);
+  EXPECT_EQ(after.value().shards[0].fingerprint, before.shards[0].fingerprint);
+  EXPECT_NE(after.value().shards[1].fingerprint, before.shards[1].fingerprint);
+
+  auto sharded = OpenOn(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t before = sharded->manifest_fingerprint();
-  auto rejected = sharded->Swap(manifest4_);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().ToString().find("re-sharding"),
-            std::string::npos)
-      << rejected.status().ToString();
-  EXPECT_EQ(sharded->manifest_fingerprint(), before);
-  EXPECT_EQ(sharded->epoch_sequence(), 1u);
-  // Still serving.
-  EXPECT_TRUE(sharded->Estimate(RequestFor(PathBetween(0, 30))).ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(before, &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  ASSERT_TRUE(sharded->Estimate(RequestFor(cross_shard[0])).ok());
+  ASSERT_EQ(sharded->stats().shard_attaches, 2u);
+
+  ASSERT_TRUE(sharded->Swap(edited_manifest).ok());
+  // Only the changed shard reloaded; both stay attached.
+  EXPECT_EQ(sharded->stats().shard_attaches, 3u);
+  EXPECT_EQ(Resident(*sharded), 2u);
+  const std::string edited_bin = Track(TempPath(Prefix() + ".edit.bin"));
+  ASSERT_TRUE(core::SaveWeightFunctionBinary(edited, edited_bin).ok());
+  auto mono_edited = OpenOn(edited_bin, /*use_mmap=*/false);
+  ASSERT_NE(mono_edited, nullptr);
+  for (const Path& path : cross_shard) {
+    ExpectSameAnswer(sharded->Estimate(RequestFor(path)),
+                     mono_edited->Estimate(RequestFor(path)));
+  }
+  EXPECT_EQ(sharded->stats().shard_attaches, 3u);
+}
+
+TEST_F(ShardedServingTest, SwapMovesAcrossShardCountsAndToAndFromAModel) {
+  auto sharded = OpenOn(manifest2_, /*use_mmap=*/false);
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
+  ASSERT_NE(sharded, nullptr);
+  ASSERT_NE(mono, nullptr);
+  const EstimateRequest request = RequestFor(PathBetween(0, 61));
+  ASSERT_TRUE(sharded->Estimate(request).ok());
+
+  // Re-sharding is a new generation like any other.
+  auto loaded4 = core::LoadShardManifest(manifest4_);
+  ASSERT_TRUE(loaded4.ok());
+  ASSERT_EQ(sharded->Swap(manifest4_).value(), 2u);
+  EXPECT_EQ(sharded->model_fingerprint(), loaded4.value().fingerprint);
+  EXPECT_EQ(sharded->ResidentShardBytes().size(), 4u);
+  ExpectSameAnswer(sharded->Estimate(request), mono->Estimate(request));
+
+  // A manifest engine can swap to a model artifact, and back.
+  ASSERT_EQ(sharded->Swap(mono_bin_).value(), 3u);
+  ASSERT_NE(sharded->model_snapshot(), nullptr);
+  EXPECT_EQ(sharded->model_fingerprint(), wp_->fingerprint());
+  EXPECT_EQ(Resident(*sharded), 0u);
+  ExpectSameAnswer(sharded->Estimate(request), mono->Estimate(request));
+  ASSERT_EQ(sharded->Swap(manifest2_).value(), 4u);
+  EXPECT_EQ(sharded->model_snapshot(), nullptr);
+  ExpectSameAnswer(sharded->Estimate(request), mono->Estimate(request));
 }
 
 // ---------------------------------------------------------------------------
 // Manifest + shard-file corruption (model_artifact_test pattern)
 // ---------------------------------------------------------------------------
 
-/// Opens a ShardedEngine on `manifest` expecting failure with a clean
-/// Status; returns that Status.
+/// Opens an Engine on `manifest` expecting failure with a clean Status;
+/// returns that Status.
 Status OpenExpectingFailure(const std::string& manifest,
                             const roadnet::Graph* graph) {
-  ShardedEngineOptions options;
-  options.engine.graph = graph;
-  options.engine.num_threads = 1;
-  options.engine.query_cache_bytes = 0;
-  auto opened = ShardedEngine::Open(manifest, std::move(options));
+  EngineOptions options;
+  options.model_path = manifest;
+  options.graph = graph;
+  options.num_threads = 1;
+  options.query_cache_bytes = 0;
+  auto opened = Engine::Open(std::move(options));
   EXPECT_FALSE(opened.ok());
   return opened.ok() ? Status::OK() : opened.status();
 }
 
-TEST_F(ShardedEngineTest, ByteFlippedManifestsFailCleanly) {
+TEST_F(ShardedServingTest, ByteFlippedManifestsFailCleanly) {
   const std::vector<char> good = ReadAll(manifest2_);
   ASSERT_GE(good.size(), 64u + 2 * 48u);
   auto original = core::LoadShardManifest(manifest2_);
@@ -628,15 +797,19 @@ TEST_F(ShardedEngineTest, ByteFlippedManifestsFailCleanly) {
     EXPECT_NE(loaded.status().code(), StatusCode::kOk);
   }
   EXPECT_EQ(rejected, good.size() - 16);
-  // Spot-check the engine front door rejects a corrupted manifest too.
-  std::vector<char> bytes = good;
-  bytes[20] = static_cast<char>(bytes[20] ^ 0x5a);  // inside the checksum
-  WriteAll(flipped, bytes);
-  EXPECT_EQ(OpenExpectingFailure(flipped, graph_).code(),
-            StatusCode::kInvalidArgument);
+  // Spot-check the engine front door rejects a corrupted manifest too,
+  // whether the flip keeps the magic (checksum) or breaks it.
+  for (const size_t off : {size_t{20}, size_t{2}}) {
+    std::vector<char> bytes = good;
+    bytes[off] = static_cast<char>(bytes[off] ^ 0x5a);
+    WriteAll(flipped, bytes);
+    EXPECT_EQ(OpenExpectingFailure(flipped, graph_).code(),
+              StatusCode::kInvalidArgument)
+        << "flip at " << off;
+  }
 }
 
-TEST_F(ShardedEngineTest, TruncatedManifestsFailCleanly) {
+TEST_F(ShardedServingTest, TruncatedManifestsFailCleanly) {
   const std::vector<char> good = ReadAll(manifest2_);
   ASSERT_GE(good.size(), 64u + 2 * 48u);
   const std::string cut_path = Track(TempPath(Prefix() + ".cut.pcdemf"));
@@ -657,9 +830,10 @@ TEST_F(ShardedEngineTest, TruncatedManifestsFailCleanly) {
   grown.push_back('\0');
   WriteAll(cut_path, grown);
   EXPECT_FALSE(core::LoadShardManifest(cut_path).ok());
+  EXPECT_FALSE(OpenExpectingFailure(cut_path, graph_).ok());
 }
 
-TEST_F(ShardedEngineTest, VersionSkewNamesTheVersionInTheMessage) {
+TEST_F(ShardedServingTest, VersionSkewNamesTheVersionInTheMessage) {
   std::vector<char> bytes = ReadAll(manifest2_);
   ASSERT_GT(bytes.size(), 64u);
   bytes[8] = 99;  // version field (little-endian u32 at offset 8)
@@ -670,9 +844,12 @@ TEST_F(ShardedEngineTest, VersionSkewNamesTheVersionInTheMessage) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().ToString().find("version"), std::string::npos)
       << loaded.status().ToString();
+  const Status opened = OpenExpectingFailure(skewed, graph_);
+  EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.ToString().find("version"), std::string::npos);
 }
 
-TEST_F(ShardedEngineTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
+TEST_F(ShardedServingTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
   // A dedicated generation this test may corrupt freely.
   const std::string manifest = WriteGeneration(*wp_, "corrupt", 2);
   auto loaded = core::LoadShardManifest(manifest);
@@ -683,9 +860,9 @@ TEST_F(ShardedEngineTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
 
   // An engine already serving a DIFFERENT generation: every failed Swap
   // below must leave it publishing that generation.
-  auto sharded = OpenSharded(manifest2_, /*use_mmap=*/false);
+  auto sharded = OpenOn(manifest2_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
-  const uint64_t before = sharded->manifest_fingerprint();
+  const uint64_t before = sharded->model_fingerprint();
 
   // (a) Missing shard file.
   ASSERT_EQ(std::remove(shard0.c_str()), 0);
@@ -722,26 +899,41 @@ TEST_F(ShardedEngineTest, MissingShortOrForeignShardFilesFailOpenAndSwap) {
             StatusCode::kInvalidArgument);
 
   // The old generation survived every rejected swap.
-  EXPECT_EQ(sharded->manifest_fingerprint(), before);
+  EXPECT_EQ(sharded->model_fingerprint(), before);
   EXPECT_EQ(sharded->epoch_sequence(), 1u);
   EXPECT_TRUE(sharded->Estimate(RequestFor(PathBetween(0, 30))).ok());
 
   // (d) Restored bytes open cleanly again.
   WriteAll(shard0, shard0_bytes);
-  auto reopened = OpenSharded(manifest, /*use_mmap=*/false);
-  EXPECT_NE(reopened, nullptr);
+  EXPECT_NE(OpenOn(manifest, /*use_mmap=*/false), nullptr);
+
+  // (e) A shard replaced after Open with a foreign artifact of the same
+  // size fails the request that attaches it, never serving it.
+  auto lazy = OpenOn(manifest, /*use_mmap=*/false);
+  ASSERT_NE(lazy, nullptr);
+  WriteAll(shard0, foreign);
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  EXPECT_EQ(lazy->Estimate(RequestFor(cross_shard[0])).status().code(),
+            StatusCode::kInvalidArgument);
+  WriteAll(shard0, shard0_bytes);
+  EXPECT_TRUE(lazy->Estimate(RequestFor(cross_shard[0])).ok());
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: batched serving across shards (run under ASan/TSan in CI)
+// Concurrency (run under ASan/TSan in CI)
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedEngineTest, ConcurrentBatchMatchesSequentialServing) {
+TEST_F(ShardedServingTest, ConcurrentBatchMatchesSequentialServing) {
   auto loaded = core::LoadShardManifest(manifest4_);
   ASSERT_TRUE(loaded.ok());
-  auto sharded = OpenSharded(manifest4_, /*use_mmap=*/false,
-                             /*max_resident_shards=*/0, /*num_threads=*/4);
-  auto mono = OpenMono(/*use_mmap=*/false);
+  // A cap below the shard count makes pool workers attach and evict
+  // concurrently.
+  auto sharded = OpenOn(manifest4_, /*use_mmap=*/false,
+                        /*max_resident_shards=*/2, /*num_threads=*/4);
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
   ASSERT_NE(sharded, nullptr);
   ASSERT_NE(mono, nullptr);
 
@@ -749,37 +941,117 @@ TEST_F(ShardedEngineTest, ConcurrentBatchMatchesSequentialServing) {
   std::vector<Path> cross_shard;
   ClassifyPaths(loaded.value(), &in_shard, &cross_shard);
   ASSERT_FALSE(in_shard.empty());
+  ASSERT_FALSE(cross_shard.empty());
   std::vector<EstimateRequest> batch;
   for (size_t i = 0; i < 32; ++i) {
-    const std::vector<Path>& pool =
-        (i % 2 == 0 || cross_shard.empty()) ? in_shard : cross_shard;
+    const std::vector<Path>& pool = i % 2 == 0 ? in_shard : cross_shard;
     batch.push_back(RequestFor(pool[i % pool.size()]));
   }
-
-  // Sequential ground truth first (fresh engine state is irrelevant: the
-  // serve path is stateless outside caches, which are disabled).
-  std::vector<CostSummary> sequential;
-  for (const EstimateRequest& request : batch) {
-    auto response = sharded->Estimate(request);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    sequential.push_back(response.value().summary);
-  }
-
   auto responses = sharded->EstimateBatch(batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
-    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
-    EXPECT_TRUE(responses[i].value().summary.ExactlyEquals(sequential[i]))
-        << "concurrent batch diverged from sequential serving";
-    // Single-shard members must also equal the monolith exactly.
-    if (SingleShard(loaded.value(), responses[i].value().resolved_path)) {
-      auto expected = mono->Estimate(batch[i]);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_TRUE(
-          responses[i].value().summary.ExactlyEquals(expected->summary));
+    ExpectSameAnswer(responses[i], mono->Estimate(batch[i]));
+  }
+}
+
+TEST_F(ShardedServingTest, BatchesAndRoutesStayExactUnderEvictionAndSwaps) {
+  // Two manifest generations; every response must equal the single-model
+  // reference of the generation its fingerprint names.
+  auto gen_a = core::LoadShardManifest(manifest2_);
+  auto gen_b = core::LoadShardManifest(alt_manifest2_);
+  ASSERT_TRUE(gen_a.ok());
+  ASSERT_TRUE(gen_b.ok());
+  std::vector<Path> in_shard;
+  std::vector<Path> cross_shard;
+  ClassifyPaths(gen_a.value(), &in_shard, &cross_shard);
+  ASSERT_FALSE(cross_shard.empty());
+  std::vector<EstimateRequest> batch;
+  for (size_t i = 0; i < 6; ++i) {
+    const std::vector<Path>& pool = i % 2 == 0 ? in_shard : cross_shard;
+    batch.push_back(RequestFor(pool[(3 * i) % pool.size()]));
+  }
+  const std::vector<RouteRequest> routes = {RouteRequests()[0],
+                                            RouteRequests()[3]};
+  struct Reference {
+    std::vector<CostSummary> estimates;
+    std::vector<std::string> routes;
+  };
+  std::map<uint64_t, Reference> references;
+  for (const auto& gen :
+       {std::make_pair(gen_a.value().fingerprint, mono_bin_),
+        std::make_pair(gen_b.value().fingerprint, alt_bin_)}) {
+    auto mono = OpenOn(gen.second, /*use_mmap=*/false);
+    ASSERT_NE(mono, nullptr);
+    Reference& ref = references[gen.first];
+    for (const EstimateRequest& request : batch) {
+      auto response = mono->Estimate(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ref.estimates.push_back(response->summary);
+    }
+    for (const RouteRequest& request : routes) {
+      auto response = mono->Route(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ref.routes.push_back(RouteFields(response.value()));
     }
   }
+
+  auto engine = OpenOn(manifest2_, /*use_mmap=*/false,
+                       /*max_resident_shards=*/1);
+  ASSERT_NE(engine, nullptr);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> served{0};
+  std::atomic<size_t> wrong{0};
+  std::atomic<size_t> failed{0};
+  std::thread batcher([&] {
+    while (!stop.load()) {
+      auto responses = engine->EstimateBatch(batch);
+      for (size_t i = 0; i < responses.size(); ++i) {
+        if (!responses[i].ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        auto ref = references.find(responses[i]->model_fingerprint);
+        if (ref == references.end() ||
+            !responses[i]->summary.ExactlyEquals(ref->second.estimates[i])) {
+          wrong.fetch_add(1);
+        }
+        served.fetch_add(1);
+      }
+    }
+  });
+  std::thread router([&] {
+    while (!stop.load()) {
+      for (size_t i = 0; i < routes.size(); ++i) {
+        auto response = engine->Route(routes[i]);
+        if (!response.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        auto ref = references.find(response->model_fingerprint);
+        if (ref == references.end() ||
+            RouteFields(response.value()) != ref->second.routes[i]) {
+          wrong.fetch_add(1);
+        }
+        served.fetch_add(1);
+      }
+    }
+  });
+  for (int swap = 0; swap < 6; ++swap) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    auto swapped =
+        engine->Swap(swap % 2 == 0 ? alt_manifest2_ : manifest2_);
+    EXPECT_TRUE(swapped.ok()) << swapped.status().ToString();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  stop.store(true);
+  batcher.join();
+  router.join();
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(engine->stats().shard_evictions, 0u);
+  EXPECT_EQ(engine->epoch_sequence(), 7u);
 }
 
 }  // namespace
