@@ -133,60 +133,36 @@ std::pair<KernelSeries, KernelSeries> MeasurePaired(const Workload& w,
           run_ref.Finish("chain_sweep_reference")};
 }
 
-/// The model series: offline build seconds, save/load latency and artifact
-/// size per format, and the serving-resident footprint of the frozen model.
-/// Every reload is checked against the built model's fingerprint — a
-/// mismatch means the artifact path is broken, so the bench aborts.
+/// The model series: offline build seconds, artifact save/load latency
+/// (buffered and mmap) and size, and the serving-resident footprint of the
+/// frozen model. Every reload is checked against the built model's
+/// fingerprint — a mismatch means the artifact path is broken, so the
+/// bench aborts.
 bool MeasureModelSeries(const Workload& w, ModelSeries* out) {
   out->num_variables = w.wp->NumVariables();
   out->resident_bytes = w.wp->ResidentBytes();
   out->build_seconds = w.build_stats.build_seconds;
-  const std::string text_path =
-      MakeTempArtifactPath("pcde_bench_model", ".txt");
-  const std::string bin_path = MakeTempArtifactPath("pcde_bench_model");
+  const std::string path = MakeTempArtifactPath("pcde_bench_model");
   // Removed on every exit path, including the error returns below.
-  const ScopedFileRemover text_cleanup(text_path);
-  const ScopedFileRemover bin_cleanup(bin_path);
-  struct Case {
-    const char* name;
-    const std::string* path;
-    bool binary;
-  } cases[] = {{"text_v2", &text_path, false}, {"binary_v1", &bin_path, true}};
-  for (const Case& c : cases) {
-    ModelFormatSeries fmt;
-    fmt.name = c.name;
-    Stopwatch watch;
-    const Status saved = c.binary
-                             ? core::SaveWeightFunctionBinary(*w.wp, *c.path)
-                             : core::SaveWeightFunction(*w.wp, *c.path);
-    fmt.save_seconds = watch.ElapsedSeconds();
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s save failed: %s\n", c.name,
-                   saved.ToString().c_str());
-      return false;
-    }
-    fmt.artifact_bytes = static_cast<size_t>(std::filesystem::file_size(*c.path));
+  const ScopedFileRemover cleanup(path);
+  Stopwatch watch;
+  const Status saved = core::SaveWeightFunctionBinary(*w.wp, path);
+  out->save_seconds = watch.ElapsedSeconds();
+  if (!saved.ok()) {
+    std::fprintf(stderr, "model save failed: %s\n", saved.ToString().c_str());
+    return false;
+  }
+  out->artifact_bytes = static_cast<size_t>(std::filesystem::file_size(path));
+  for (bool use_mmap : {false, true}) {
     watch.Restart();
-    auto loaded = core::LoadWeightFunction(*c.path);
-    fmt.load_seconds = watch.ElapsedSeconds();
+    auto loaded = core::LoadWeightFunctionBinary(path, use_mmap);
+    (use_mmap ? out->mmap_load_seconds : out->load_seconds) =
+        watch.ElapsedSeconds();
     if (!loaded.ok() || loaded.value().fingerprint() != w.wp->fingerprint()) {
       std::fprintf(stderr, "%s reload failed or fingerprint mismatch\n",
-                   c.name);
+                   use_mmap ? "mmap" : "buffered");
       return false;
     }
-    if (c.binary) {
-      // The flag-guarded mmap load path (shared page-cache copy across
-      // co-resident server processes), fingerprint-checked like the rest.
-      watch.Restart();
-      auto mapped = core::LoadWeightFunctionBinary(*c.path, /*use_mmap=*/true);
-      out->mmap_load_seconds = watch.ElapsedSeconds();
-      if (!mapped.ok() ||
-          mapped.value().fingerprint() != w.wp->fingerprint()) {
-        std::fprintf(stderr, "mmap reload failed or fingerprint mismatch\n");
-        return false;
-      }
-    }
-    out->formats.push_back(std::move(fmt));
   }
   return true;
 }
@@ -1203,14 +1179,11 @@ int main(int argc, char** argv) {
   std::printf("model: %zu variables, built in %.2f s, resident %.2f MB\n",
               model.num_variables, model.build_seconds,
               static_cast<double>(model.resident_bytes) / (1024.0 * 1024.0));
-  for (const ModelFormatSeries& fmt : model.formats) {
-    std::printf("  %-10s save %7.1f ms  load %7.1f ms  artifact %.2f MB\n",
-                fmt.name.c_str(), fmt.save_seconds * 1e3,
-                fmt.load_seconds * 1e3,
-                static_cast<double>(fmt.artifact_bytes) / (1024.0 * 1024.0));
-  }
-  std::printf("binary load speedup vs text: %.1fx\n",
-              model.BinaryLoadSpeedupVsText());
+  std::printf("  save %7.1f ms  load %7.1f ms  mmap load %7.1f ms  "
+              "artifact %.2f MB\n",
+              model.save_seconds * 1e3, model.load_seconds * 1e3,
+              model.mmap_load_seconds * 1e3,
+              static_cast<double>(model.artifact_bytes) / (1024.0 * 1024.0));
 
   if (!WriteChainBenchJson(out_path, "chain_estimation", series, &model,
                            &sharded_footprint)) {

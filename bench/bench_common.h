@@ -239,39 +239,19 @@ struct KernelSeries {
   }
 };
 
-/// One persistence format's save/load measurement for the model series.
-struct ModelFormatSeries {
-  std::string name;  // "text_v2" / "binary_v1"
-  double save_seconds = 0.0;
-  double load_seconds = 0.0;
-  size_t artifact_bytes = 0;
-};
-
 /// The offline-build / online-serve cost record: instantiation time, the
-/// model's serving footprint, and per-format artifact size + save/load
-/// latency (see bench/README.md for the JSON schema).
+/// model's serving footprint, and the PCDEWF1 artifact's size and
+/// save/load latency (see bench/README.md for the JSON schema).
 struct ModelSeries {
   size_t num_variables = 0;
   size_t resident_bytes = 0;    // PathWeightFunction::ResidentBytes
   double build_seconds = 0.0;   // InstantiationStats::build_seconds
-  /// Binary artifact loaded through the flag-guarded mmap path (shared
-  /// page-cache copy across co-resident server processes).
+  double save_seconds = 0.0;
+  size_t artifact_bytes = 0;
+  /// Buffered load, and the mmap load (shared page-cache copy across
+  /// co-resident server processes).
+  double load_seconds = 0.0;
   double mmap_load_seconds = 0.0;
-  std::vector<ModelFormatSeries> formats;
-
-  /// text_load_seconds / binary_load_seconds when both formats are present
-  /// (the artifact acceptance metric: binary must load >= 10x faster).
-  double BinaryLoadSpeedupVsText() const {
-    const ModelFormatSeries* text = nullptr;
-    const ModelFormatSeries* binary = nullptr;
-    for (const ModelFormatSeries& f : formats) {
-      if (f.name == "text_v2") text = &f;
-      if (f.name == "binary_v1") binary = &f;
-    }
-    return text != nullptr && binary != nullptr && binary->load_seconds > 0.0
-               ? text->load_seconds / binary->load_seconds
-               : 0.0;
-  }
 };
 
 /// The sharded-serving footprint record (ISSUE 10): the resident-memory
@@ -337,23 +317,15 @@ inline bool WriteChainBenchJson(const std::string& path,
                  "    \"num_variables\": %zu,\n"
                  "    \"resident_bytes\": %zu,\n"
                  "    \"build_seconds\": %s,\n"
-                 "    \"formats\": [\n",
+                 "    \"save_seconds\": %s,\n"
+                 "    \"load_seconds\": %s,\n"
+                 "    \"mmap_load_seconds\": %s,\n"
+                 "    \"artifact_bytes\": %zu\n  }",
                  model->num_variables, model->resident_bytes,
-                 num(model->build_seconds).c_str());
-    for (size_t i = 0; i < model->formats.size(); ++i) {
-      const ModelFormatSeries& fmt = model->formats[i];
-      std::fprintf(f,
-                   "      {\"name\": \"%s\", \"save_seconds\": %s, "
-                   "\"load_seconds\": %s, \"artifact_bytes\": %zu}%s\n",
-                   fmt.name.c_str(), num(fmt.save_seconds).c_str(),
-                   num(fmt.load_seconds).c_str(), fmt.artifact_bytes,
-                   i + 1 < model->formats.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "    ],\n    \"mmap_load_seconds\": %s,\n"
-                 "    \"binary_load_speedup_vs_text\": %s\n  }",
-                 num(model->mmap_load_seconds).c_str(),
-                 num(model->BinaryLoadSpeedupVsText()).c_str());
+                 num(model->build_seconds).c_str(),
+                 num(model->save_seconds).c_str(),
+                 num(model->load_seconds).c_str(),
+                 num(model->mmap_load_seconds).c_str(), model->artifact_bytes);
   }
   const KernelSeries* rewrite = nullptr;
   const KernelSeries* reference = nullptr;

@@ -3,10 +3,13 @@
 # Release, runs the examples, then runs the chain perf record and fails if
 # any gate regresses.
 #
-#   1. Debug + ASan, SIMD forced to the scalar fallback — the golden
-#      equivalence tests cover the non-SIMD chain kernel under the
+#   1. Debug + ASan at -O1, SIMD forced to the scalar fallback — the
+#      golden equivalence tests cover the non-SIMD chain kernel under the
 #      sanitizer (including the Engine batch fan-out exercised by
-#      batch_estimator_test).
+#      batch_estimator_test). -O1 rather than Debug's -O0: the suites that
+#      instantiate models (core_estimator_test, query_cache_test) spend
+#      minutes per fixture at -O0 under ASan; NDEBUG stays undefined, so
+#      assertions still run.
 #      The swap-stress gate then reruns the refresh fault-injection
 #      harness's concurrency tests explicitly under ASan: concurrent
 #      clients against an engine whose model is repeatedly swapped (with
@@ -79,8 +82,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 REPS="${1:-8}"
 
-echo "=== [1/6] Debug + ASan build (scalar SIMD fallback) ==="
+echo "=== [1/6] Debug + ASan build at -O1 (scalar SIMD fallback) ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=address \
+      -DCMAKE_CXX_FLAGS_DEBUG="-g -O1" \
       -DPCDE_SIMD=OFF -DPCDE_BUILD_BENCHES=OFF -DPCDE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j)

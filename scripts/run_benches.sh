@@ -10,8 +10,8 @@
 # route_dfs{,_pruned}, the sharded serving series
 # sharded_estimate{,_mono,_cross} with the sharded_vs_mono routing-overhead
 # ratio and per-shard resident footprint headlines, and the model series
-# (offline build seconds, per-format save/load seconds and artifact bytes,
-# resident model bytes, binary-vs-text load speedup).
+# (offline build seconds, resident model bytes, and the PCDEWF1 artifact's
+# bytes, save seconds, and buffered and mmap load seconds).
 #
 # Usage: scripts/run_benches.sh [reps]
 #   reps: measurement repetitions per decomposition for the chain

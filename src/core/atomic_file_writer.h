@@ -1,5 +1,5 @@
-// Atomic, crash-durable artifact writes, shared by every on-disk format
-// (PCDEWF1 binary, the text format, and the PCDEMF1 shard manifest): write
+// Atomic, crash-durable artifact writes, shared by both on-disk formats
+// (the PCDEWF1 model artifact and the PCDEMF1 shard manifest): write
 // a temp sibling on a raw fd, fsync it, rename into place, then fsync the
 // parent directory. The fsyncs are what make the temp+rename dance actually
 // atomic across a crash — without them the kernel may expose the new name

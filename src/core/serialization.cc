@@ -5,15 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <new>
-#include <sstream>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -88,18 +83,18 @@ bool AlphaInArtifactRange(double alpha_seconds) {
   return alpha_seconds >= 1.0 && alpha_seconds <= 86400.0 * 365.0;
 }
 
-/// Save-side mirror of the loaders' limits: a model that would be rejected
+/// Save-side mirror of the loader's limits: a model that would be rejected
 /// on load (alpha out of range, edge ids above the artifact ceiling) must
 /// not save successfully.
-Status ValidateSaveable(const PathWeightFunction& wp, const char* who) {
+Status ValidateSaveable(const PathWeightFunction& wp) {
   if (!AlphaInArtifactRange(wp.binning().alpha_seconds())) {
     return Status::InvalidArgument(
-        std::string(who) + ": alpha = " +
+        "SaveWeightFunctionBinary: alpha = " +
         std::to_string(wp.binning().alpha_seconds()) +
         " s is outside the artifact range [1 s, 1 year]; the saved model "
         "could never be loaded");
   }
-  // Front edges only, matching the loaders: the ceiling exists to bound
+  // Front edges only, matching the loader: the ceiling exists to bound
   // the dense per-front-edge candidate index, which interior edges never
   // drive.
   const WeightFunctionSections& s = wp.sections();
@@ -107,7 +102,7 @@ Status ValidateSaveable(const PathWeightFunction& wp, const char* who) {
     const roadnet::EdgeId front = s.seq_edges[s.seq_off[q]];
     if (front >= kMaxArtifactEdgeId) {
       return Status::InvalidArgument(
-          std::string(who) + ": front edge id " + std::to_string(front) +
+          "SaveWeightFunctionBinary: front edge id " + std::to_string(front) +
           " exceeds the artifact ceiling (" +
           std::to_string(kMaxArtifactEdgeId) +
           "); the saved model could never be loaded");
@@ -117,14 +112,14 @@ Status ValidateSaveable(const PathWeightFunction& wp, const char* who) {
 }
 
 // Atomic, crash-durable artifact writes ride on the shared
-// core::AtomicFileWriter (core/atomic_file_writer.h), which both formats
-// here and the shard-manifest writer (core/shard_writer.cc) drive.
+// core::AtomicFileWriter (core/atomic_file_writer.h), which the saver here
+// and the shard-manifest writer (core/shard_writer.cc) drive.
 
 }  // namespace
 
 Status SaveWeightFunctionBinary(const PathWeightFunction& wp,
                                 const std::string& path) {
-  PCDE_RETURN_NOT_OK(ValidateSaveable(wp, "SaveWeightFunctionBinary"));
+  PCDE_RETURN_NOT_OK(ValidateSaveable(wp));
   const WeightFunctionSections& s = wp.sections();
   const auto plan = s.SectionTable();
 
@@ -376,10 +371,6 @@ StatusOr<PathWeightFunction> LoadWeightFunctionBinary(const std::string& path,
                              path);
 }
 
-StatusOr<PathWeightFunction> LoadWeightFunctionBinary(const std::string& path) {
-  return LoadWeightFunctionBinary(path, /*use_mmap=*/false);
-}
-
 StatusOr<uint64_t> PeekBinaryArtifactFingerprint(const std::string& path) {
   auto bad = [&path](const std::string& what) {
     return Status::InvalidArgument("PeekBinaryArtifactFingerprint: " + what +
@@ -409,300 +400,6 @@ StatusOr<uint64_t> PeekBinaryArtifactFingerprint(const std::string& path) {
     return bad("bad alpha_seconds");
   }
   return header.checksum;
-}
-
-// ---------------------------------------------------------------------------
-// Text artifact (v2): BINNING record + VAR/DIM/HB record groups.
-// ---------------------------------------------------------------------------
-
-Status SaveWeightFunction(const PathWeightFunction& wp,
-                          const std::string& path) {
-  PCDE_RETURN_NOT_OK(ValidateSaveable(wp, "SaveWeightFunction"));
-  // Format the whole record stream in memory (text artifacts are small
-  // relative to the model they describe), then run the same atomic +
-  // crash-durable temp/fsync/rename/dirsync dance as the binary save.
-  std::ostringstream out;
-  out.precision(17);
-  out << "# pcde weight function v2\n";
-  out << "BINNING," << wp.binning().alpha_seconds() / 60.0 << "\n";
-  for (const InstantiatedVariable& v : wp.variables()) {
-    out << "VAR," << v.interval << "," << v.support << ","
-        << (v.from_speed_limit ? 1 : 0) << "," << v.rank();
-    for (roadnet::EdgeId e : v.path) out << "," << e;
-    out << "\n";
-    for (size_t d = 0; d < v.joint.NumDims(); ++d) {
-      out << "DIM";
-      for (double b : v.joint.boundaries(d)) out << "," << b;
-      out << "\n";
-    }
-    const size_t dims = v.joint.NumDims();
-    for (const hist::HistogramND::BucketRef hb : v.joint.buckets()) {
-      out << "HB," << hb.prob;
-      for (size_t d = 0; d < dims; ++d) out << "," << hb.idx[d];
-      out << "\n";
-    }
-  }
-  const std::string text = out.str();
-  AtomicFileWriter writer("SaveWeightFunction", "serialization.text", path);
-  PCDE_RETURN_NOT_OK(writer.Open());
-  PCDE_RETURN_NOT_OK(writer.Write(text.data(), text.size()));
-  return writer.Commit();
-}
-
-namespace {
-
-// Exception-free numeric field parsers: corrupt artifacts must produce a
-// Status, never a throw/crash (std::stoul and friends throw).
-bool ParseDoubleField(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  // No non-finite fields: 'nan' would slip through every downstream
-  // comparison-based validation (NaN makes both < and > false) and load
-  // as NaN bucket mass.
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseU64Field(const std::string& s, uint64_t* out) {
-  // First char must be a digit: strtoull itself skips whitespace and wraps
-  // negative inputs (" -5" -> 2^64-5) instead of rejecting them.
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseI32Field(const std::string& s, int32_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || v < INT32_MIN ||
-      v > INT32_MAX) {
-    return false;
-  }
-  *out = static_cast<int32_t>(v);
-  return true;
-}
-
-/// The text v2 parser. Text v1 files (no BINNING record before the first
-/// VAR) are rejected.
-StatusOr<PathWeightFunction> LoadText(const std::string& path) {
-  std::ifstream in(path);
-  if (PCDE_FAULT_POINT("serialization.text.load.open") || !in.is_open()) {
-    return Status::NotFound("LoadWeightFunction: cannot open " + path);
-  }
-
-  bool has_binning = false;
-  double alpha_minutes = 0.0;
-  std::unique_ptr<WeightFunctionBuilder> builder;
-
-  // Parser state for the variable being assembled.
-  bool has_var = false;
-  InstantiatedVariable var;
-  size_t rank = 0;
-  std::vector<std::vector<double>> boundaries;
-  std::vector<hist::HistogramND::HyperBucket> buckets;
-
-  auto flush = [&]() -> Status {
-    if (!has_var) return Status::OK();
-    if (boundaries.size() != rank) {
-      return Status::InvalidArgument(
-          "LoadWeightFunction: dimension count mismatch for variable " +
-          var.path.ToString());
-    }
-    // The stored probabilities are already normalized; keep them verbatim
-    // (renormalizing would perturb the low bits and break the byte-identical
-    // save -> load -> estimate guarantee).
-    PCDE_ASSIGN_OR_RETURN(
-        joint, hist::HistogramND::Make(std::move(boundaries),
-                                       std::move(buckets),
-                                       /*renormalize=*/false));
-    var.joint = std::move(joint);
-    builder->Add(std::move(var));
-    var = InstantiatedVariable();
-    boundaries.clear();
-    buckets.clear();
-    has_var = false;
-    return Status::OK();
-  };
-
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::stringstream ss(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    if (fields.empty()) continue;
-    const std::string where = path + ":" + std::to_string(line_no);
-    if (fields[0] == "BINNING") {
-      double parsed = 0.0;
-      // Same alpha bounds as the binary loader: a near-zero alpha is
-      // undefined behavior in TimeBinning at query time, not a loadable
-      // model.
-      if (fields.size() != 2 || !ParseDoubleField(fields[1], &parsed) ||
-          !AlphaInArtifactRange(parsed * 60.0)) {
-        return Status::InvalidArgument("LoadWeightFunction: bad BINNING at " +
-                                       where);
-      }
-      if (has_binning || builder != nullptr) {
-        // A second BINNING (anywhere) would silently re-bind the alpha
-        // grid — exactly the binning-corruption class this format exists
-        // to make a load-time error.
-        return Status::InvalidArgument(
-            "LoadWeightFunction: duplicate or misplaced BINNING at " + where);
-      }
-      alpha_minutes = parsed;
-      has_binning = true;
-    } else if (fields[0] == "VAR") {
-      if (!has_binning) {
-        return Status::InvalidArgument(
-            "LoadWeightFunction: no BINNING record before " + where +
-            " — text v1 artifacts are not supported; rebuild the model and "
-            "save it again");
-      }
-      if (builder == nullptr) {
-        builder =
-            std::make_unique<WeightFunctionBuilder>(TimeBinning(alpha_minutes));
-      }
-      PCDE_RETURN_NOT_OK(flush());
-      uint64_t support = 0, parsed_rank = 0;
-      if (fields.size() < 6 || !ParseI32Field(fields[1], &var.interval) ||
-          !ParseU64Field(fields[2], &support) ||
-          (fields[3] != "0" && fields[3] != "1") ||
-          !ParseU64Field(fields[4], &parsed_rank)) {
-        return Status::InvalidArgument("LoadWeightFunction: bad VAR at " +
-                                       where);
-      }
-      var.support = support;
-      var.from_speed_limit = fields[3] == "1";
-      rank = parsed_rank;
-      if (rank == 0 || fields.size() != 5 + rank) {
-        return Status::InvalidArgument("LoadWeightFunction: VAR arity at " +
-                                       where);
-      }
-      std::vector<roadnet::EdgeId> edges;
-      for (size_t i = 0; i < rank; ++i) {
-        uint64_t e = 0;
-        // Front edges carry the same artifact ceiling as the binary
-        // loader: a corrupt id must not drive the dense candidate index
-        // to gigabytes. Interior edges only need to fit EdgeId.
-        const uint64_t limit = i == 0 ? kMaxArtifactEdgeId
-                                      : uint64_t{UINT32_MAX} + 1;
-        if (!ParseU64Field(fields[5 + i], &e) || e >= limit) {
-          return Status::InvalidArgument(
-              "LoadWeightFunction: bad edge id at " + where);
-        }
-        edges.push_back(static_cast<roadnet::EdgeId>(e));
-      }
-      var.path = roadnet::Path(std::move(edges));
-      has_var = true;
-    } else if (fields[0] == "DIM") {
-      if (!has_var) {
-        return Status::InvalidArgument("LoadWeightFunction: DIM before VAR "
-                                       "at " + where);
-      }
-      std::vector<double> bounds;
-      for (size_t i = 1; i < fields.size(); ++i) {
-        double b = 0.0;
-        if (!ParseDoubleField(fields[i], &b)) {
-          return Status::InvalidArgument(
-              "LoadWeightFunction: bad DIM value at " + where);
-        }
-        bounds.push_back(b);
-      }
-      boundaries.push_back(std::move(bounds));
-    } else if (fields[0] == "HB") {
-      if (!has_var || fields.size() != 2 + rank) {
-        return Status::InvalidArgument("LoadWeightFunction: bad HB at " +
-                                       where);
-      }
-      hist::HistogramND::HyperBucket hb;
-      if (!ParseDoubleField(fields[1], &hb.prob)) {
-        return Status::InvalidArgument(
-            "LoadWeightFunction: bad HB probability at " + where);
-      }
-      for (size_t i = 0; i < rank; ++i) {
-        uint64_t idx = 0;
-        if (!ParseU64Field(fields[2 + i], &idx) || idx > UINT32_MAX) {
-          return Status::InvalidArgument(
-              "LoadWeightFunction: bad HB index at " + where);
-        }
-        hb.idx.push_back(static_cast<uint32_t>(idx));
-      }
-      buckets.push_back(std::move(hb));
-    } else {
-      return Status::InvalidArgument("LoadWeightFunction: unknown record at " +
-                                     where);
-    }
-  }
-  if (PCDE_FAULT_POINT("serialization.text.load.read") || in.bad()) {
-    return Status::Internal("LoadWeightFunction: read failed for " + path);
-  }
-  if (!has_binning) {
-    return Status::InvalidArgument(
-        "LoadWeightFunction: no BINNING record in " + path +
-        " — text v1 artifacts are not supported; rebuild the model and save "
-        "it again");
-  }
-  if (builder == nullptr) {
-    builder =
-        std::make_unique<WeightFunctionBuilder>(TimeBinning(alpha_minutes));
-  }
-  PCDE_RETURN_NOT_OK(flush());
-  return std::move(*builder).TryFreeze();
-}
-
-enum class ArtifactKind { kBinary, kText, kCorruptBinary };
-
-/// Routes by the leading bytes: the full magic selects the binary loader;
-/// a magic prefix (truncated file) or embedded NULs (binary garbage, e.g.
-/// a corrupted header) is reported as a corrupt binary artifact instead of
-/// being fed to the text parser, whose "unknown record" errors would send
-/// an operator down the wrong diagnostic path.
-ArtifactKind SniffArtifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return ArtifactKind::kText;  // loader reports NotFound
-  char head[sizeof(uint64_t)] = {0};
-  in.read(head, sizeof(head));
-  const size_t n = static_cast<size_t>(in.gcount());
-  uint64_t magic = 0;
-  std::memcpy(&magic, head, sizeof(magic));
-  if (n == sizeof(head) && magic == kMagic) return ArtifactKind::kBinary;
-  const char* magic_bytes = reinterpret_cast<const char*>(&kMagic);
-  if (n > 0 && std::memcmp(head, magic_bytes, n) == 0) {
-    return ArtifactKind::kCorruptBinary;  // magic prefix, file cut short
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (head[i] == '\0') return ArtifactKind::kCorruptBinary;
-  }
-  return ArtifactKind::kText;
-}
-
-}  // namespace
-
-StatusOr<PathWeightFunction> LoadWeightFunction(const std::string& path) {
-  switch (SniffArtifact(path)) {
-    case ArtifactKind::kBinary:
-      return LoadWeightFunctionBinary(path);
-    case ArtifactKind::kCorruptBinary:
-      return Status::InvalidArgument(
-          "LoadWeightFunction: " + path +
-          " looks like a corrupt or truncated PCDEWF1 binary artifact");
-    case ArtifactKind::kText:
-      break;
-  }
-  return LoadText(path);
 }
 
 }  // namespace core

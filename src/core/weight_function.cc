@@ -168,9 +168,9 @@ StatusOr<PathWeightFunction> PathWeightFunction::FromSections(
         }
       }
       // Semantic payload validation, mirroring HistogramND::Make: the
-      // binary path skips per-bucket parsing, so it must re-establish the
-      // same guarantees (finite sorted boundaries; finite non-negative
-      // probabilities summing to 1) the text path gets from Make.
+      // artifact loader skips per-bucket parsing, so it must re-establish
+      // the same guarantees (finite sorted boundaries; finite non-negative
+      // probabilities summing to 1) a built model gets from Make.
       for (uint64_t d = 0; d < dims; ++d) {
         const double* bounds = s.bounds + bound_off[d];
         const uint64_t nb = bound_off[d + 1] - bound_off[d];

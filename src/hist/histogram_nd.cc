@@ -59,7 +59,7 @@ HistogramND HistogramND::FromFlatUnchecked(
 
 StatusOr<HistogramND> HistogramND::Make(
     std::vector<std::vector<double>> dim_boundaries,
-    std::vector<HyperBucket> buckets, bool renormalize) {
+    std::vector<HyperBucket> buckets) {
   if (dim_boundaries.empty()) {
     return Status::InvalidArgument("HistogramND: no dimensions");
   }
@@ -90,9 +90,7 @@ StatusOr<HistogramND> HistogramND::Make(
     return Status::InvalidArgument("HistogramND: probabilities sum to " +
                                    std::to_string(total));
   }
-  if (renormalize) {
-    for (HyperBucket& hb : buckets) hb.prob /= total;
-  }
+  for (HyperBucket& hb : buckets) hb.prob /= total;
   return FromValidated(dim_boundaries, buckets);
 }
 

@@ -89,14 +89,11 @@ class HistogramND {
 
   /// Validated construction from per-dimension boundaries (each sorted,
   /// size >= 2) and sparse hyper-buckets (probabilities sum to 1 within
-  /// tolerance). Bucket order is preserved. `renormalize` divides the
-  /// probabilities by their sum (the build-from-data path); pass false when
-  /// the values are already authoritative (artifact loading), where the
-  /// division would perturb the low bits and break byte-identical round
-  /// trips.
+  /// tolerance), which are then divided by their sum. Bucket order is
+  /// preserved.
   static StatusOr<HistogramND> Make(
       std::vector<std::vector<double>> dim_boundaries,
-      std::vector<HyperBucket> buckets, bool renormalize = true);
+      std::vector<HyperBucket> buckets);
 
   /// \brief Builds the joint histogram from per-sample cost vectors
   /// (samples[i] has one cost per dimension). Boundaries per dimension come

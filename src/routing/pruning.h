@@ -35,11 +35,6 @@ struct PruningOptions {
   /// Order out-edges by lower_bound[to] so cheap completions (and thus
   /// strong incumbents) are found early. Pure exploration-order change.
   bool cheap_first = false;
-  /// Max nondominated entries kept per vertex (per branch).
-  size_t dominance_frontier_size = 4;
-  /// Max breakpoints per CDF sketch (coarser sketches prune less but
-  /// compare faster; never unsound — coarsening is direction-aware).
-  size_t dominance_sketch_points = 16;
 
   bool any() const { return incumbent || dominance || cheap_first; }
 };

@@ -19,6 +19,20 @@ using roadnet::Graph;
 using roadnet::Path;
 using roadnet::VertexId;
 
+namespace {
+
+/// Safety factor (< 1) on free-flow edge times for the admissible lower
+/// bound; sampled travel can beat the speed limit slightly.
+constexpr double kLowerBoundFactor = 0.8;
+/// Max nondominated entries the dominance pruner keeps per vertex (per
+/// branch).
+constexpr size_t kDominanceFrontierSize = 4;
+/// Max breakpoints per dominance CDF sketch (coarser sketches prune less
+/// but compare faster; never unsound — coarsening is direction-aware).
+constexpr size_t kDominanceSketchPoints = 16;
+
+}  // namespace
+
 DfsStochasticRouter::DfsStochasticRouter(const Graph& graph,
                                          core::ModelView view,
                                          core::EstimateOptions estimate_options,
@@ -45,7 +59,7 @@ DfsStochasticRouter::DfsStochasticRouter(const Graph& graph,
           std::min(oracle_weight_seconds_[e], var->joint.DimRange(0).lo);
     }
     const double free_flow_bound =
-        graph_.edge(e).FreeFlowSeconds() * config_.lower_bound_factor;
+        graph_.edge(e).FreeFlowSeconds() * kLowerBoundFactor;
     oracle_weight_seconds_[e] =
         oracle_weight_seconds_[e] == roadnet::kInfCost
             ? free_flow_bound
@@ -164,7 +178,7 @@ void Dfs(SearchContext* ctx, const IncrementalEstimator& estimator,
       std::vector<VertexId> visited_sorted(*ctx->path_vertices);
       std::sort(visited_sorted.begin(), visited_sorted.end());
       const CdfSketch opt = CdfSketch::FromPoints(
-          std::move(optimistic), prune.dominance_sketch_points,
+          std::move(optimistic), kDominanceSketchPoints,
           /*round_down=*/true);
       if (ctx->frontier->IsDominated(at, opt, visited_sorted)) {
         ++res.dominance_pruned;
@@ -173,7 +187,7 @@ void Dfs(SearchContext* ctx, const IncrementalEstimator& estimator,
       ctx->frontier->Insert(
           at,
           CdfSketch::FromPoints(std::move(pessimistic),
-                                prune.dominance_sketch_points,
+                                kDominanceSketchPoints,
                                 /*round_down=*/false),
           std::move(visited_sorted));
     }
@@ -299,9 +313,8 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
   // SettleBeyondBudget tells those apart from vertices that cannot reach
   // the destination. With the oracle driving the search, this bound is
   // read only at `from`, so only an unreached `from` needs the sweep.
-  const double factor = config_.lower_bound_factor;
-  auto optimistic = [factor](const roadnet::Edge& e) {
-    return e.FreeFlowSeconds() * factor;
+  auto optimistic = [](const roadnet::Edge& e) {
+    return e.FreeFlowSeconds() * kLowerBoundFactor;
   };
   std::vector<double> lower_bound = roadnet::ReverseShortestPathTree(
       graph_, to, optimistic, budget_seconds);
@@ -383,8 +396,7 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     ExpansionBudget budget(&shared.expansions, config_.max_expansions, stride);
     std::unique_ptr<DominanceFrontier> frontier;
     if (prune.dominance) {
-      frontier =
-          std::make_unique<DominanceFrontier>(prune.dominance_frontier_size);
+      frontier = std::make_unique<DominanceFrontier>(kDominanceFrontierSize);
     }
 
     SearchContext ctx;

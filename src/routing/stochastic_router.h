@@ -28,9 +28,6 @@ namespace pcde {
 namespace routing {
 
 struct RouterConfig {
-  /// Safety factor (< 1) on free-flow edge times for the admissible lower
-  /// bound; sampled travel can beat the speed limit slightly.
-  double lower_bound_factor = 0.8;
   /// Hard cap on DFS expansions; the search space of simple paths within a
   /// generous budget is exponential (also true of [10]).
   size_t max_expansions = 500000;

@@ -110,7 +110,6 @@ std::shared_ptr<const Engine::Epoch> Engine::BuildEpoch(uint64_t sequence,
     if (epoch->source.model != nullptr ||
         epoch->resident == epoch->source.shards.models.size()) {
       routing::RouterConfig config;
-      config.lower_bound_factor = options_.route_lower_bound_factor;
       config.max_expansions = options_.route_max_expansions;
       config.max_path_edges = options_.route_max_path_edges;
       config.pool = pool_.get();
@@ -142,11 +141,8 @@ StatusOr<Engine::Source> Engine::Load(const std::string& path,
                                       const Epoch* current) const {
   Source source;
   if (!core::IsShardManifest(path)) {
-    PCDE_ASSIGN_OR_RETURN(model,
-                          options_.use_mmap
-                              ? core::LoadWeightFunctionBinary(
-                                    path, /*use_mmap=*/true)
-                              : core::LoadWeightFunction(path));
+    PCDE_ASSIGN_OR_RETURN(
+        model, core::LoadWeightFunctionBinary(path, options_.use_mmap));
     source.model = std::make_shared<const PathWeightFunction>(std::move(model));
     return source;
   }
@@ -286,39 +282,17 @@ Status Engine::VerifyCandidate(std::shared_ptr<const Epoch>* candidate,
   for (size_t i = 0; i < probes.size(); ++i) {
     const GoldenProbe& probe = probes[i];
     const std::string which = "golden probe #" + std::to_string(i);
-    auto resolved = ResolvePath(probe.request.path);
-    if (!resolved.ok()) {
-      return reject(which + " failed to resolve: " +
-                    resolved.status().message());
+    // Served like a request, minus admission and deadline; the shards the
+    // probe attaches stay on the candidate.
+    std::shared_ptr<const Epoch> extended;
+    auto response =
+        Answer(*candidate, probe.request, /*cancel=*/nullptr, &extended);
+    if (extended != nullptr) *candidate = std::move(extended);
+    if (!response.ok()) {
+      return reject(which + " failed: " + response.status().message());
     }
-    const core::ShardManifest* manifest =
-        (*candidate)->source.shards.manifest.get();
-    if (manifest != nullptr) {
-      auto attached =
-          WithShards(*candidate, ShardsOf(*manifest, resolved.value()));
-      if (!attached.ok()) {
-        return reject(which + " could not attach its shards: " +
-                      attached.status().message());
-      }
-      *candidate = std::move(attached).value();
-    }
-    core::EstimateBreakdown breakdown;
-    core::FallbackProvenance provenance;
-    auto dist = (*candidate)->estimator->EstimateWithFallback(
-        resolved.value(), probe.request.departure_time, &provenance,
-        &breakdown, /*cancel=*/nullptr);
-    if (!dist.ok()) {
-      return reject(which + " errored: " + dist.status().message());
-    }
-    if (!probe.has_reference) continue;
-    CostSummary got = SummarizeDistribution(
-        dist.value(), probe.request.stats, probe.request.budget_seconds,
-        probe.request.quantiles);
-    // Mirror the provenance stamping of a served response: references are
-    // stamped from EstimateResponse::summary, which carries it.
-    got.degradation = provenance.level;
-    got.covered_fraction = provenance.covered_fraction;
-    if (!got.ExactlyEquals(probe.reference)) {
+    if (probe.has_reference &&
+        !response.value().summary.ExactlyEquals(probe.reference)) {
       return reject(which + " diverged from its stamped reference");
     }
   }
@@ -332,25 +306,16 @@ StatusOr<uint64_t> Engine::VerifyAndPublishLocked(
   // ever being reachable by a request.
   std::shared_ptr<const Epoch> candidate =
       BuildEpoch(next_sequence_, std::move(source));
-  const std::vector<GoldenProbe>& probes = swap_options.probes.empty()
-                                               ? options_.swap_policy.probes
-                                               : swap_options.probes;
-  PCDE_RETURN_NOT_OK(VerifyCandidate(&candidate, probes));
+  PCDE_RETURN_NOT_OK(VerifyCandidate(&candidate, swap_options.probes));
   return PublishEpochLocked(std::move(candidate));
 }
 
 StatusOr<std::unique_ptr<Engine>> Engine::Make(EngineOptions options) {
-  if (options.query_cache_bytes > 0 && options.cache_time_bucket_seconds <= 0.0) {
-    return Status::InvalidArgument(
-        "Engine: cache_time_bucket_seconds must be positive");
-  }
   std::unique_ptr<Engine> engine(new Engine(std::move(options)));
   const EngineOptions& opts = engine->options_;
   if (opts.query_cache_bytes > 0) {
     core::QueryCacheOptions cache_options;
     cache_options.max_bytes = opts.query_cache_bytes;
-    cache_options.num_shards = opts.query_cache_shards;
-    cache_options.time_bucket_seconds = opts.cache_time_bucket_seconds;
     engine->cache_ = std::make_unique<core::QueryCache>(cache_options);
   }
   engine->pool_ = std::make_unique<ThreadPool>(opts.num_threads);
@@ -384,17 +349,24 @@ StatusOr<uint64_t> PeekFingerprint(const std::string& path) {
   return manifest.fingerprint;
 }
 
+/// The swap backoff schedule (SwapPolicy): each retry waits kBackoffMultiplier
+/// times longer than the last, scaled by a jitter factor drawn uniformly
+/// from [1 - kJitterFraction, 1 + kJitterFraction] by an Rng seeded with
+/// kJitterSeed at every Swap call, so a retry schedule replays exactly.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.5;
+constexpr uint64_t kJitterSeed = 42;
+
 /// Exponential backoff with deterministic jitter before retry `attempt`
 /// (1-based count of attempts already made). Sleeps in short slices so a
 /// tripping cancel token abandons the wait within ~10 ms.
 void BackoffBeforeRetry(const SwapPolicy& policy, size_t attempt, Rng* jitter,
                         const CancelToken* cancel) {
   double backoff = policy.initial_backoff_seconds *
-                   std::pow(policy.backoff_multiplier,
+                   std::pow(kBackoffMultiplier,
                             static_cast<double>(attempt - 1));
   backoff = std::min(backoff, policy.max_backoff_seconds);
-  const double j = std::min(std::max(policy.jitter_fraction, 0.0), 1.0);
-  if (j > 0.0) backoff *= jitter->Uniform(1.0 - j, 1.0 + j);
+  backoff *= jitter->Uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
   if (backoff <= 0.0) return;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<
@@ -408,10 +380,6 @@ void BackoffBeforeRetry(const SwapPolicy& policy, size_t attempt, Rng* jitter,
 
 }  // namespace
 
-StatusOr<uint64_t> Engine::Swap(const std::string& model_path) {
-  return Swap(model_path, SwapOptions());
-}
-
 StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
                                 const SwapOptions& swap_options) {
   if (model_path.empty()) {
@@ -420,8 +388,8 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
   std::lock_guard<std::mutex> lock(swap_mutex_);
   // Short-circuit a refresh to content already being served: a model
   // artifact's header checksum, like a manifest's, IS the fingerprint. A
-  // failed peek (text artifact, unreadable file) is not a swap failure yet
-  // — the full load below is the authority, and it validates the whole
+  // failed peek (foreign or unreadable file) is not a swap failure yet —
+  // the full load below is the authority, and it validates the whole
   // payload either way.
   auto peek = PeekFingerprint(model_path);
   const std::shared_ptr<const Epoch> current = CurrentEpoch();
@@ -430,7 +398,7 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
   }
   const SwapPolicy& policy = options_.swap_policy;
   const size_t max_attempts = std::max<size_t>(policy.max_attempts, 1);
-  Rng jitter(policy.jitter_seed);
+  Rng jitter(kJitterSeed);
   StatusOr<Source> loaded = Status::Internal("Engine::Swap: no load attempted");
   for (size_t attempt = 1;; ++attempt) {
     if (CancelToken::Check(swap_options.cancel)) {
@@ -453,10 +421,6 @@ StatusOr<uint64_t> Engine::Swap(const std::string& model_path,
     BackoffBeforeRetry(policy, attempt, &jitter, swap_options.cancel);
   }
   return VerifyAndPublishLocked(std::move(loaded).value(), swap_options);
-}
-
-StatusOr<uint64_t> Engine::Swap(PathWeightFunction model) {
-  return Swap(std::move(model), SwapOptions());
 }
 
 StatusOr<uint64_t> Engine::Swap(PathWeightFunction model,
@@ -625,12 +589,25 @@ const CancelToken* SetupCancel(double timeout_seconds,
 /// so far from zero that its bucket index overflows int64_t. The
 /// estimator would otherwise answer it from the all-day fallback
 /// variables, as if it were a real time of day.
-Status CheckDeparture(double departure_time, double time_bucket_seconds) {
-  if (core::QueryCache::CanKeyDeparture(departure_time, time_bucket_seconds)) {
+Status CheckDeparture(double departure_time) {
+  if (core::QueryCache::CanKeyDeparture(
+          departure_time, core::QueryCacheOptions().time_bucket_seconds)) {
     return Status::OK();
   }
   return Status::InvalidArgument(
       "departure time is not finite or outside the cache's bucket range");
+}
+
+/// Rejects a quantile level that is not a number in [0, 1]: a NaN level
+/// would otherwise read as the support maximum.
+Status CheckQuantiles(const std::vector<double>& levels) {
+  for (double q : levels) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return Status::InvalidArgument("quantile level " + std::to_string(q) +
+                                     " is not a number in [0, 1]");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -649,20 +626,33 @@ StatusOr<EstimateResponse> Engine::Serve(
   std::optional<CancelToken> deadline_token;
   const CancelToken* cancel =
       SetupCancel(request.timeout_seconds, request.cancel, &deadline_token);
-  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
-                                    options_.cache_time_bucket_seconds));
-  PCDE_ASSIGN_OR_RETURN(path, ResolvePath(request.path));
   std::shared_ptr<const Epoch> extended;  // the pin plus the path's shards
+  StatusOr<EstimateResponse> response =
+      Answer(pinned, request, cancel, &extended);
+  if (response.ok()) {
+    response->inflight_at_admit = inflight_now;
+    response->serve_seconds = watch.ElapsedSeconds();
+  }
+  return response;
+}
+
+StatusOr<EstimateResponse> Engine::Answer(
+    const std::shared_ptr<const Epoch>& pinned, const EstimateRequest& request,
+    const CancelToken* cancel, std::shared_ptr<const Epoch>* extended) const {
+  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time));
+  PCDE_RETURN_NOT_OK(CheckQuantiles(request.quantiles));
+  PCDE_ASSIGN_OR_RETURN(path, ResolvePath(request.path));
+  const Epoch* epoch = pinned.get();
   if (pinned->source.generation != nullptr) {
     const core::ShardManifest& manifest = pinned->source.generation->manifest;
     PCDE_ASSIGN_OR_RETURN(attached,
                           WithShards(pinned, ShardsOf(manifest, path)));
-    extended = std::move(attached);
+    *extended = std::move(attached);
+    epoch = extended->get();
   }
-  const Epoch& epoch = extended != nullptr ? *extended : *pinned;
   core::EstimateBreakdown breakdown;
   core::FallbackProvenance provenance;
-  auto dist = epoch.estimator->EstimateWithFallback(
+  auto dist = epoch->estimator->EstimateWithFallback(
       path, request.departure_time, &provenance, &breakdown, cancel);
   if (!dist.ok()) {
     CountUnwind(dist.status());
@@ -670,10 +660,8 @@ StatusOr<EstimateResponse> Engine::Serve(
   }
   EstimateResponse response = MakeResponse(request, std::move(path),
                                            std::move(dist).value(), breakdown);
-  StampProvenance(&response, epoch.view.fingerprint(), epoch.sequence,
+  StampProvenance(&response, epoch->view.fingerprint(), epoch->sequence,
                   provenance);
-  response.inflight_at_admit = inflight_now;
-  response.serve_seconds = watch.ElapsedSeconds();
   return response;
 }
 
@@ -717,8 +705,7 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
     return Status::FailedPrecondition(
         "Engine::Route needs EngineOptions::graph");
   }
-  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time,
-                                    options_.cache_time_bucket_seconds));
+  PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time));
   if (epoch->router == nullptr) {
     // A manifest with shards detached: the search may touch any edge, so
     // it needs them all.

@@ -13,13 +13,14 @@
 //   req.budget_seconds = 45 * 60.0;
 //   auto response = (*engine)->Estimate(req);  // CostSummary + provenance
 //
-// Open either loads a frozen model (binary artifact via buffered read or
-// mmap, or the text format) or adopts an already-built PathWeightFunction;
-// it constructs the shared ThreadPool and sizes/attaches the
-// QueryCache declaratively from the options. Estimation through the Engine
-// is bit-identical to direct HybridEstimator wiring with the same options
-// (tests/serving_engine_test.cc proves it, with and without caches) — the
-// facade adds request resolution and summary derivation, not semantics.
+// Open either loads a frozen model (a PCDEWF1 artifact, the one model
+// format, via buffered read or mmap; core/serialization.h) or adopts an
+// already-built PathWeightFunction; it constructs the shared ThreadPool
+// and sizes/attaches the QueryCache declaratively from the options.
+// Estimation through the Engine is bit-identical to direct HybridEstimator
+// wiring with the same options (tests/serving_engine_test.cc proves it,
+// with and without caches) — the facade adds request resolution and
+// summary derivation, not semantics.
 //
 // The model may also be a PCDEMF1 shard manifest (core/shard_writer.h),
 // sniffed from model_path by its magic. Shards attach as requests first
@@ -60,9 +61,11 @@
 namespace pcde {
 namespace serving {
 
-/// \brief One pre-publish verification query: Swap runs the request
-/// against the CANDIDATE epoch before publishing it. A probe whose
-/// estimate errors rejects the candidate; when a reference summary is
+/// \brief One pre-publish verification query: Swap serves the request on
+/// the CANDIDATE epoch before publishing it, through the same body as
+/// Estimate minus admission and deadline. A probe that fails (an invalid
+/// departure time or quantile level, an unresolvable path, an estimate
+/// error) rejects the candidate; when a reference summary is
 /// stamped, so does any divergence from it (estimation is bit-identical
 /// across save/load, so a stamped reference computed on the model that
 /// produced the artifact must reproduce exactly — a mismatch means the
@@ -79,53 +82,49 @@ struct GoldenProbe {
 };
 
 /// \brief Model-refresh robustness policy. The default is bit-identical to
-/// a policy-free engine: one load attempt, no probes, no retained epochs.
+/// a policy-free engine: one load attempt, no retained epochs.
 struct SwapPolicy {
-  /// Load attempts per Swap(path) call. Content errors (corrupt artifact,
-  /// version skew: kInvalidArgument) fail immediately — the bytes will not
-  /// fix themselves; IO errors and missing files (kInternal / kNotFound —
-  /// e.g. a publisher mid-rename or flaky storage) are retried up to this
-  /// many attempts with exponential backoff. 0 behaves as 1.
+  /// Load attempts per Swap(path) call. Content errors (corrupt or foreign
+  /// artifact, version skew: kInvalidArgument) fail immediately — the
+  /// bytes will not fix themselves; IO errors and missing files
+  /// (kInternal / kNotFound — e.g. a publisher mid-rename or flaky
+  /// storage) are retried up to this many attempts with exponential
+  /// backoff. 0 behaves as 1.
   size_t max_attempts = 1;
-  /// Backoff before retry k (1-based) is
-  /// min(initial * multiplier^(k-1), max) scaled by a jitter factor drawn
-  /// uniformly from [1 - jitter_fraction, 1 + jitter_fraction] under
-  /// jitter_seed (deterministic, so tests replay). The sleep polls the
+  /// Backoff before retry k (1-based) is min(initial * 2^(k-1), max)
+  /// scaled by a jitter factor drawn uniformly from [0.5, 1.5] under a
+  /// fixed seed (deterministic, so tests replay). The sleep polls the
   /// Swap call's cancel token and aborts the wait when it trips.
   double initial_backoff_seconds = 0.01;
-  double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.5;
-  double jitter_fraction = 0.5;
-  uint64_t jitter_seed = 42;
-  /// Engine-wide pre-publish probes, run on every swap candidate (per-call
-  /// probes in SwapOptions take precedence). Empty = no verification.
-  std::vector<GoldenProbe> probes;
   /// Replaced epochs retained for RollbackToPrevious(), newest first out.
   /// 0 disables retention (a replaced epoch is torn down as soon as its
   /// last in-flight request finishes, exactly the policy-free lifecycle).
   size_t rollback_capacity = 0;
 };
 
-/// \brief Per-call Swap knobs. References ride on the call rather than the
-/// engine because they are stamped per model generation.
+/// \brief Per-call Swap knobs. Probes ride on the call rather than the
+/// engine because their references are stamped per model generation.
 struct SwapOptions {
   /// Checked before every load attempt and during backoff sleeps; a
   /// tripped token abandons the swap (the old epoch keeps serving).
   const CancelToken* cancel = nullptr;
-  /// When non-empty, replaces SwapPolicy::probes for this call.
+  /// Pre-publish probes run on the swap candidate. Empty = no
+  /// verification.
   std::vector<GoldenProbe> probes;
 };
 
 /// Declarative configuration of the full serving stack.
 struct EngineOptions {
-  /// Model artifact to load when Open(options) is used (core/serialization:
-  /// PCDEWF1 binary or text v2, or a PCDEMF1 shard manifest; sniffed).
-  /// Ignored by the adopting Open.
+  /// Model to load when Open(options) is used: a PCDEWF1 artifact
+  /// (core/serialization.h) or a PCDEMF1 shard manifest
+  /// (core/shard_writer.h), told apart by the manifest magic. Ignored by
+  /// the adopting Open.
   std::string model_path;
-  /// Map the binary artifact (or every shard artifact) PROT_READ/MAP_SHARED
-  /// and parse in place (one page-cache copy across co-resident engines
-  /// serving the same file). Binary artifacts only; see
-  /// LoadWeightFunctionBinary for the atomic-replace lifecycle requirement.
+  /// Map the artifact (or every shard artifact) PROT_READ/MAP_SHARED and
+  /// parse in place (one page-cache copy across co-resident engines
+  /// serving the same file); see LoadWeightFunctionBinary for the
+  /// atomic-replace lifecycle requirement.
   bool use_mmap = false;
   /// Manifest models only: LRU cap on attached shards; 0 = unbounded. A
   /// request always gets every shard it needs (a Route needs all of them),
@@ -148,14 +147,12 @@ struct EngineOptions {
   size_t num_threads = 0;
 
   /// Byte budget of the shared result cache (core/query_cache.h); 0
-  /// disables caching. Results are bit-identical either way.
+  /// disables caching. Results are bit-identical either way. The cache
+  /// keeps core::QueryCacheOptions' shard count and departure-time bucket
+  /// width.
   size_t query_cache_bytes = size_t{64} << 20;
-  size_t query_cache_shards = 8;
-  /// Departure-time bucket width folded into cache keys.
-  double cache_time_bucket_seconds = 300.0;
 
   /// DFS router knobs (see routing::RouterConfig for semantics).
-  double route_lower_bound_factor = 0.8;
   size_t route_max_expansions = 500000;
   size_t route_max_path_edges = 150;
   /// Opt-in routing pruners (routing/pruning.h); all default off, which
@@ -246,37 +243,36 @@ class Engine {
   /// epoch. In-flight and subsequent requests are never failed by the
   /// transition — each pins one epoch for its whole lifetime, and
   /// responses carry the pinned epoch + model fingerprint so callers can
-  /// audit which model answered. A corrupt, truncated, or version-skewed
-  /// artifact is rejected with the loader's Status and the old epoch keeps
-  /// serving untouched. An artifact whose header checksum matches the
-  /// currently served model short-circuits to a no-op (no new epoch). The
+  /// audit which model answered. A corrupt, truncated, version-skewed or
+  /// foreign (non-PCDEWF1) artifact is rejected with the loader's Status
+  /// and the old epoch keeps serving untouched. An artifact whose header
+  /// checksum matches the currently served model short-circuits to a
+  /// no-op (no new epoch). The
   /// shared QueryCache survives swaps: its keys carry the model
   /// fingerprint, so entries of replaced models decay into misses and
   /// evict, never into false hits. Loads via options().use_mmap, like
   /// Open. Returns the now-serving epoch sequence. Thread-safe against
   /// requests and against other Swap calls.
   /// Under a non-default SwapPolicy the load is additionally retried on
-  /// transient failures (with cancel-aware exponential backoff) and the
-  /// candidate is probe-verified before publication; see SwapPolicy.
+  /// transient failures (with cancel-aware exponential backoff); see
+  /// SwapPolicy. SwapOptions carries the call's cancel token and the
+  /// probes the candidate must pass before it publishes.
   /// A manifest is refreshed per shard: every shard file it names is
   /// checked (size and fingerprint) before anything publishes, shards whose
   /// fingerprint is unchanged keep their loaded model, attached shards that
   /// changed reload, and the rest attach when first needed. A manifest
   /// with the served manifest's fingerprint is a no-op like a same-model
   /// artifact.
-  StatusOr<uint64_t> Swap(const std::string& model_path);
-  /// Same, with per-call cancellation and probe references.
   StatusOr<uint64_t> Swap(const std::string& model_path,
-                          const SwapOptions& swap_options);
+                          const SwapOptions& swap_options = SwapOptions());
 
   /// Adopting form: publishes an already-built (or already-loaded) frozen
   /// model as the new epoch — the embedded wiring, e.g. a delta rebuild
   /// (WeightFunctionBuilder::FromFrozen + InstantiateIntoBuilder) frozen in
   /// process and swapped in without touching disk. Probe verification
   /// applies; the retry loop does not (there is no IO to retry).
-  StatusOr<uint64_t> Swap(core::PathWeightFunction model);
   StatusOr<uint64_t> Swap(core::PathWeightFunction model,
-                          const SwapOptions& swap_options);
+                          const SwapOptions& swap_options = SwapOptions());
 
   /// \brief Republishes the most recently replaced epoch's model as a NEW
   /// epoch (sequence moves forward — a response's epoch number never goes
@@ -325,7 +321,8 @@ class Engine {
   /// One cost-distribution query end to end: resolve, estimate (through
   /// the attached cache), summarize. InvalidArgument when the departure
   /// time is not finite or its cache time bucket does not fit int64_t
-  /// (core::QueryCache::CanKeyDeparture), with or without a cache.
+  /// (core::QueryCache::CanKeyDeparture), with or without a cache, and
+  /// when a quantile level is not a number in [0, 1].
   StatusOr<EstimateResponse> Estimate(const EstimateRequest& request) const;
 
   /// Many queries concurrently on the engine's shared pool; response i
@@ -424,24 +421,33 @@ class Engine {
   /// keeps one; caller holds swap_mutex_.
   uint64_t PublishEpochLocked(std::shared_ptr<const Epoch> epoch);
 
-  /// Runs `probes` against the unpublished candidate, attaching the shards
-  /// they need to it; on the first probe error or reference divergence
-  /// counts a probe_failure and returns the rejection Status (the
-  /// candidate is then dropped unpublished).
+  /// Serves `probes` on the unpublished candidate through Answer, so the
+  /// shards they need attach to the candidate; on the first probe error or
+  /// reference divergence counts a probe_failure and returns the rejection
+  /// Status (the candidate is then dropped unpublished).
   Status VerifyCandidate(std::shared_ptr<const Epoch>* candidate,
                          const std::vector<GoldenProbe>& probes) const;
 
   /// Builds the candidate epoch over `source`, verifies it with the
-  /// per-call (or policy) probes, and publishes the very object that was
-  /// verified; caller holds swap_mutex_.
+  /// call's probes, and publishes the very object that was verified;
+  /// caller holds swap_mutex_.
   StatusOr<uint64_t> VerifyAndPublishLocked(Source source,
                                             const SwapOptions& swap_options);
 
-  /// The one serve body behind Estimate and EstimateBatch: admission,
-  /// deadline set-up, resolution, estimation on `epoch` (extended by the
-  /// shards the path needs), and response stamping for one request.
+  /// The one serve path behind Estimate and EstimateBatch: admission and
+  /// deadline set-up, then Answer.
   StatusOr<EstimateResponse> Serve(const std::shared_ptr<const Epoch>& pinned,
                                    const EstimateRequest& request) const;
+
+  /// The serve body behind Serve and VerifyCandidate: request checks
+  /// (departure time, quantile levels), resolution, estimation on
+  /// `pinned` polling `cancel`, and response stamping. On a manifest the
+  /// epoch that served — `pinned`, or an extension of it holding the
+  /// shards the path needs — is returned in *extended.
+  StatusOr<EstimateResponse> Answer(
+      const std::shared_ptr<const Epoch>& pinned,
+      const EstimateRequest& request, const CancelToken* cancel,
+      std::shared_ptr<const Epoch>* extended) const;
 
   /// Bumps the deadline_exceeded / cancelled counter matching a request's
   /// terminal Status (no-op for other codes).

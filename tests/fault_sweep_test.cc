@@ -9,12 +9,14 @@
 //    one of the two known model generations; an artifact file either holds
 //    a complete generation or does not exist; and no *.tmp* sibling
 //    survives any path. scripts/ci.sh runs this under ASan and TSan.
-//  * ENOSPC / short-write: injected write and fsync failures on both
-//    artifact formats leave the prior artifact byte-identical and drop no
-//    temp files (satellite of ISSUE 9).
+//  * ENOSPC / short-write: injected write and fsync failures on the
+//    artifact writer leave the prior artifact byte-identical and drop no
+//    temp files.
 //  * Probe verification: a candidate epoch that diverges from its stamped
-//    golden references is rejected before publication — it never serves a
-//    single request — while matching references publish cleanly.
+//    golden references, or fails a probe a request would fail (a departure
+//    time the cache cannot bucket, a quantile level outside [0, 1]), is
+//    rejected before publication — it never serves a single request —
+//    while matching references publish cleanly.
 //  * Rollback: SwapPolicy::rollback_capacity retains replaced epochs and
 //    RollbackToPrevious republishes them newest-first under fresh sequence
 //    numbers.
@@ -34,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -92,10 +95,8 @@ class FaultSweepTest : public ::testing::Test {
     ASSERT_NE(wp_base_->fingerprint(), wp_data_->fingerprint());
     bin_base_ = TempPath(Prefix() + ".base.bin");
     bin_data_ = TempPath(Prefix() + ".data.bin");
-    text_data_ = TempPath(Prefix() + ".data.txt");
     ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_base_, bin_base_).ok());
     ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_data_, bin_data_).ok());
-    ASSERT_TRUE(core::SaveWeightFunction(*wp_data_, text_data_).ok());
     // Reference answers per generation for the fixed probe request: every
     // served response in the sweep must ExactlyEqual the reference of the
     // generation its fingerprint names.
@@ -137,7 +138,6 @@ class FaultSweepTest : public ::testing::Test {
   static void TearDownTestSuite() {
     std::remove(bin_base_.c_str());
     std::remove(bin_data_.c_str());
-    std::remove(text_data_.c_str());
     std::remove(manifest_.c_str());
     for (const std::string& p : *shard_files_) std::remove(p.c_str());
     shard_files_->clear();
@@ -218,10 +218,7 @@ class FaultSweepTest : public ::testing::Test {
     done = true;
     ASSERT_FALSE(fault::Armed());
     const std::string b = TempPath(Prefix() + ".warm.bin");
-    const std::string t = TempPath(Prefix() + ".warm.txt");
     ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_data_, b).ok());
-    ASSERT_TRUE(core::SaveWeightFunction(*wp_data_, t).ok());
-    ASSERT_TRUE(core::LoadWeightFunction(t).ok());
     ASSERT_TRUE(core::LoadWeightFunctionBinary(b, /*use_mmap=*/false).ok());
     ASSERT_TRUE(core::LoadWeightFunctionBinary(b, /*use_mmap=*/true).ok());
     ASSERT_TRUE(core::PeekBinaryArtifactFingerprint(b).ok());
@@ -253,7 +250,6 @@ class FaultSweepTest : public ::testing::Test {
     }
     std::remove(m.c_str());
     std::remove(b.c_str());
-    std::remove(t.c_str());
   }
 
   static traj::Dataset* dataset_;
@@ -262,7 +258,6 @@ class FaultSweepTest : public ::testing::Test {
   static PathWeightFunction* wp_data_;  // trajectory-instantiated generation
   static std::string bin_base_;
   static std::string bin_data_;
-  static std::string text_data_;
   static std::string manifest_;  // 2-shard split of the data generation
   static std::vector<std::string>* shard_files_;
   static std::unordered_map<uint64_t, CostSummary>* references_;
@@ -275,7 +270,6 @@ PathWeightFunction* FaultSweepTest::wp_base_ = nullptr;
 PathWeightFunction* FaultSweepTest::wp_data_ = nullptr;
 std::string FaultSweepTest::bin_base_;
 std::string FaultSweepTest::bin_data_;
-std::string FaultSweepTest::text_data_;
 std::string FaultSweepTest::manifest_;
 std::vector<std::string>* FaultSweepTest::shard_files_ =
     new std::vector<std::string>();
@@ -324,13 +318,11 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
     ASSERT_TRUE(injection.Arm(site, plan).ok());
     fault::ResetFaultCounters();
 
-    // Save both formats to fresh paths. Allowed to fail (clean Status);
-    // an artifact file, if it exists at all, must be a COMPLETE save
-    // (byte-identical to the fixture artifact of the same model) — the
-    // dirsync site fails after the rename has landed, every other site
-    // before it.
+    // Save to a fresh path. Allowed to fail (clean Status); an artifact
+    // file, if it exists at all, must be a COMPLETE save (byte-identical
+    // to the fixture artifact of the same model) — the dirsync site fails
+    // after the rename has landed, every other site before it.
     const std::string fresh_bin = Track(TempPath(Prefix() + ".it.bin"));
-    const std::string fresh_text = Track(TempPath(Prefix() + ".it.txt"));
     const Status saved_bin =
         core::SaveWeightFunctionBinary(*wp_data_, fresh_bin);
     if (std::filesystem::exists(fresh_bin)) {
@@ -338,16 +330,9 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
     } else {
       EXPECT_FALSE(saved_bin.ok());
     }
-    const Status saved_text = core::SaveWeightFunction(*wp_data_, fresh_text);
-    if (std::filesystem::exists(fresh_text)) {
-      EXPECT_EQ(ReadAll(fresh_text), ReadAll(text_data_));
-    } else {
-      EXPECT_FALSE(saved_text.ok());
-    }
 
     // Direct loads of known-good fixture artifacts: ok or clean failure,
     // never a crash or a torn result.
-    (void)core::LoadWeightFunction(text_data_);
     (void)core::LoadWeightFunctionBinary(bin_data_, /*use_mmap=*/false);
     (void)core::LoadWeightFunctionBinary(bin_data_, /*use_mmap=*/true);
     (void)core::PeekBinaryArtifactFingerprint(bin_data_);
@@ -415,7 +400,6 @@ TEST_F(FaultSweepTest, PerSiteSweepFailsCleanAndKeepsServing) {
 
     ExpectNoTmpDroppings();
     std::remove(fresh_bin.c_str());
-    std::remove(fresh_text.c_str());
     std::remove(fresh_manifest.c_str());
     std::remove(TempPath(Prefix() + ".itshard.0.pcdewf").c_str());
     std::remove(TempPath(Prefix() + ".itshard.1.pcdewf").c_str());
@@ -432,26 +416,19 @@ TEST_F(FaultSweepTest, TornWritesLeavePriorArtifactIntact) {
   struct Case {
     const char* site;
     uint64_t fail_on_hit;  // 0 = fail_every=1
-    bool binary;
   };
-  // fail_on_hit=3 on the binary writer fails MID-STREAM (after the header
-  // and table already hit the temp file) — a genuinely torn temp, since the
-  // injected write really writes half the remaining bytes first. The text
-  // writer issues one full-buffer write, so hit 1 is its only traversal.
+  // fail_on_hit=3 fails MID-STREAM (after the header and table already hit
+  // the temp file) — a genuinely torn temp, since the injected write
+  // really writes half the remaining bytes first.
   const Case cases[] = {
-      {"serialization.binary.write", 3, true},
-      {"serialization.binary.fsync", 0, true},
-      {"serialization.text.write", 1, false},
-      {"serialization.text.fsync", 0, false},
+      {"serialization.binary.write", 3},
+      {"serialization.binary.fsync", 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.site);
-    const std::string target =
-        Track(TempPath(Prefix() + (c.binary ? ".enospc.bin" : ".enospc.txt")));
+    const std::string target = Track(TempPath(Prefix() + ".enospc.bin"));
     // Publish a prior generation cleanly, then try to replace it faulted.
-    ASSERT_TRUE((c.binary ? core::SaveWeightFunctionBinary(*wp_base_, target)
-                          : core::SaveWeightFunction(*wp_base_, target))
-                    .ok());
+    ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_base_, target).ok());
     const std::vector<char> prior = ReadAll(target);
     ASSERT_FALSE(prior.empty());
 
@@ -464,9 +441,7 @@ TEST_F(FaultSweepTest, TornWritesLeavePriorArtifactIntact) {
     }
     ASSERT_TRUE(injection.Arm(c.site, plan).ok());
 
-    const Status saved = c.binary
-                             ? core::SaveWeightFunctionBinary(*wp_data_, target)
-                             : core::SaveWeightFunction(*wp_data_, target);
+    const Status saved = core::SaveWeightFunctionBinary(*wp_data_, target);
     EXPECT_FALSE(saved.ok());
     EXPECT_EQ(saved.code(), StatusCode::kInternal) << saved.ToString();
     EXPECT_EQ(ReadAll(target), prior)
@@ -476,9 +451,7 @@ TEST_F(FaultSweepTest, TornWritesLeavePriorArtifactIntact) {
 
     // The surviving artifact still loads and serves its generation.
     fault::DisarmAllFaults();
-    auto loaded = c.binary
-                      ? core::LoadWeightFunctionBinary(target, /*use_mmap=*/false)
-                      : core::LoadWeightFunction(target);
+    auto loaded = core::LoadWeightFunctionBinary(target);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value().fingerprint(), wp_base_->fingerprint());
     std::remove(target.c_str());
@@ -620,6 +593,63 @@ TEST_F(FaultSweepTest, ProbeVerificationGatesPublication) {
   EXPECT_EQ(engine->stats().probe_failures, 2u);
 }
 
+TEST_F(FaultSweepTest, ProbesFailWhereRequestsFail) {
+  // A probe is served like a request, so what fails a request fails the
+  // probe and rejects the candidate: a departure time the query cache
+  // cannot bucket (with the cache on, it would reach MakeKey's int64 cast)
+  // and a quantile level outside [0, 1]. None of these probes carries a
+  // reference, so only the request checks can reject them.
+  EngineOptions options;
+  options.model_path = bin_base_;
+  options.graph = graph_;
+  options.num_threads = 1;
+  ASSERT_GT(options.query_cache_bytes, 0u);
+  auto opened = Engine::Open(std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Engine& engine = *opened.value();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    double departure_time;
+    double quantile;
+  };
+  const Case cases[] = {{"NaN departure", nan, 0.5},
+                        {"+inf departure", inf, 0.5},
+                        {"NaN quantile level", kDepart, nan}};
+  uint64_t failures = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    GoldenProbe probe;
+    probe.request = ProbeRequest();
+    probe.request.departure_time = c.departure_time;
+    probe.request.quantiles = {c.quantile};
+    SwapOptions swap_options;
+    swap_options.probes.push_back(probe);
+    auto rejected = engine.Swap(bin_data_, swap_options);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << rejected.status().ToString();
+    EXPECT_EQ(engine.stats().probe_failures, ++failures);
+    EXPECT_EQ(engine.epoch_sequence(), 1u);
+    auto response = engine.Estimate(ProbeRequest());
+    ExpectServedFromKnownGeneration(response);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().model_fingerprint, wp_base_->fingerprint());
+  }
+
+  // The same probe at a real departure time publishes.
+  GoldenProbe valid;
+  valid.request = ProbeRequest();
+  SwapOptions swap_options;
+  swap_options.probes.push_back(valid);
+  auto swapped = engine.Swap(bin_data_, swap_options);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ(swapped.value(), 2u);
+  EXPECT_EQ(engine.stats().probe_failures, failures);
+}
+
 // ---------------------------------------------------------------------------
 // Last-known-good rollback ring
 // ---------------------------------------------------------------------------
@@ -758,14 +788,11 @@ TEST_F(FaultSweepTest, MultiFaultStormNeverCorruptsServing) {
 
 TEST_F(FaultSweepTest, DisarmedAndDefaultPolicyAreBitIdentical) {
   ASSERT_FALSE(fault::Armed());
-  // Saves with the injector linked in (disarmed) are byte-identical to the
-  // fixture artifacts.
+  // A save with the injector linked in (disarmed) is byte-identical to the
+  // fixture artifact.
   const std::string again_bin = Track(TempPath(Prefix() + ".again.bin"));
-  const std::string again_text = Track(TempPath(Prefix() + ".again.txt"));
   ASSERT_TRUE(core::SaveWeightFunctionBinary(*wp_data_, again_bin).ok());
-  ASSERT_TRUE(core::SaveWeightFunction(*wp_data_, again_text).ok());
   EXPECT_EQ(ReadAll(again_bin), ReadAll(bin_data_));
-  EXPECT_EQ(ReadAll(again_text), ReadAll(text_data_));
 
   // A default-policy engine swap behaves exactly like pre-policy serving:
   // publishes on the first attempt, runs no probes, retains no epochs.

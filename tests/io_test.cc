@@ -1,6 +1,7 @@
-// Tests for persistence: graph CSV, matched-trajectory CSV, and weight
-// function serialization round-trips, plus GHG-emission cost support end
-// to end (the paper's second cost type).
+// Tests for persistence: graph CSV and matched-trajectory CSV round trips,
+// the weight-function loader's rejection of foreign and missing files (its
+// round trips live in model_artifact_test), plus GHG-emission cost support
+// end to end (the paper's second cost type).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -123,82 +124,26 @@ TEST_F(IoTest, TrajectoryLoadValidatesPaths) {
 // Weight function serialization
 // ---------------------------------------------------------------------------
 
-TEST_F(IoTest, WeightFunctionRoundTrip) {
-  traj::Dataset ds = traj::MakeDatasetA(2000);
-  traj::TrajectoryStore store(ds.MatchedSlice(1.0));
-  core::HybridParams params;
-  params.beta = 15;
-  const core::PathWeightFunction wp =
-      core::InstantiateWeightFunction(*ds.graph, store, params);
-
-  const std::string path = Track(TempPath("pcde_wp.txt"));
-  ASSERT_TRUE(core::SaveWeightFunction(wp, path).ok());
-  // v2 text embeds the binning; no caller-supplied alpha.
-  auto loaded = core::LoadWeightFunction(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().binning().alpha_seconds(),
-            wp.binning().alpha_seconds());
-  EXPECT_EQ(loaded.value().fingerprint(), wp.fingerprint());
-  ASSERT_EQ(loaded.value().NumVariables(), wp.NumVariables());
-  EXPECT_EQ(loaded.value().CountByRank(false), wp.CountByRank(false));
-  EXPECT_EQ(loaded.value().MemoryUsageBytes(), wp.MemoryUsageBytes());
-
-  // Every original variable must be recoverable with identical content.
-  size_t checked = 0;
-  for (const auto& v : wp.variables()) {
-    const auto* lv = loaded.value().Lookup(v.path, v.interval);
-    ASSERT_NE(lv, nullptr);
-    EXPECT_EQ(lv->support, v.support);
-    EXPECT_EQ(lv->from_speed_limit, v.from_speed_limit);
-    EXPECT_EQ(lv->joint.NumBuckets(), v.joint.NumBuckets());
-    EXPECT_NEAR(lv->joint.DifferentialEntropy(),
-                v.joint.DifferentialEntropy(), 1e-9);
-    if (++checked >= 200) break;  // spot check
-  }
-
-  // Queries through the reloaded function match the original.
-  core::HybridEstimator est_orig{wp};
-  core::HybridEstimator est_loaded{loaded.value()};
-  for (const auto& trip : ds.trips) {
-    if (trip.truth.path.size() < 5) continue;
-    const roadnet::Path q = trip.truth.path.Slice(0, 5);
-    auto a = est_orig.EstimateCostDistribution(q, trip.truth.DepartureTime());
-    auto b =
-        est_loaded.EstimateCostDistribution(q, trip.truth.DepartureTime());
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_LT(hist::L1Distance(a.value(), b.value()), 1e-9);
-    break;
-  }
-}
-
 TEST_F(IoTest, WeightFunctionLoadRejectsGarbage) {
-  const std::string path = Track(TempPath("pcde_bad_wp.txt"));
+  // Not a PCDEWF1 artifact (a CSV-like record stream): a content error
+  // through both load paths, never a crash. A missing file is NotFound.
+  const std::string path = Track(TempPath("pcde_bad_wp.bin"));
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("BINNING,30\nVAR,16,40,0,2,1,2\nDIM,0,1\nHB,1.0,0,0\n",
-               f);  // 1 DIM, rank 2
+    std::fputs("BINNING,30\nVAR,16,40,0,2,1,2\nDIM,0,1\nHB,1.0,0,0\n"
+               "# padded past the 64-byte artifact header\n",
+               f);
     std::fclose(f);
   }
-  EXPECT_FALSE(core::LoadWeightFunction(path).ok());
-  EXPECT_FALSE(core::LoadWeightFunction("/nonexistent/wp.txt").ok());
-}
-
-TEST_F(IoTest, TextV1IsRejected) {
-  // A v1-era file (no BINNING record) does not say which binning its
-  // variables were built with, so it is a clean load-time error.
-  const std::string v1 = Track(TempPath("pcde_wp_v1.txt"));
-  {
-    std::FILE* f = std::fopen(v1.c_str(), "w");
-    std::fputs("# pcde weight function v1\nVAR,16,40,0,1,3\nDIM,20,30\n"
-               "HB,1,0\n", f);
-    std::fclose(f);
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "buffered");
+    EXPECT_EQ(core::LoadWeightFunctionBinary(path, use_mmap).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(core::LoadWeightFunctionBinary("/nonexistent/wp.bin", use_mmap)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
   }
-  auto loaded = core::LoadWeightFunction(v1);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("text v1"), std::string::npos)
-      << loaded.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

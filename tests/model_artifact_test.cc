@@ -1,13 +1,13 @@
 // Model artifact tests: the offline-build / online-serve contract.
 //
 //  * Golden round trips: estimates from build -> save -> load -> estimate
-//    are byte-identical to estimating on the just-built model, for both
-//    the binary and the text format, including through the QueryCache
-//    (whose keys — model fingerprint + frozen variable ids — survive
-//    save/load).
-//  * Robustness properties: corrupt, truncated, and version-skewed
-//    artifacts (text and binary) fail with a clean Status and never crash;
-//    scripts/ci.sh runs this suite under ASan.
+//    are byte-identical to estimating on the just-built model, buffered
+//    and mmap, including through the QueryCache (whose keys — model
+//    fingerprint + frozen variable ids — survive save/load).
+//  * Robustness properties: corrupt, truncated, version-skewed and foreign
+//    files fail with a clean Status and never crash, through the loader
+//    and through serving::Engine; scripts/ci.sh runs this suite under
+//    ASan.
 //  * The binary loader does no per-bucket allocation (counted via a
 //    replacement operator new).
 #include <gtest/gtest.h>
@@ -182,11 +182,6 @@ TEST_F(ModelArtifactTest, BinaryRoundTripIsByteIdentical) {
     ASSERT_EQ(b.joint.NumBuckets(), a.joint.NumBuckets());
   }
   ExpectGoldenEquivalence(loaded.value());
-
-  // The generic loader sniffs the binary magic.
-  auto sniffed = LoadWeightFunction(path);
-  ASSERT_TRUE(sniffed.ok());
-  EXPECT_EQ(sniffed.value().fingerprint(), wp_->fingerprint());
 }
 
 TEST_F(ModelArtifactTest, MmapLoadIsByteIdenticalToBufferedLoad) {
@@ -208,17 +203,6 @@ TEST_F(ModelArtifactTest, MmapLoadIsByteIdenticalToBufferedLoad) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_FALSE(LoadWeightFunctionBinary(bad, /*use_mmap=*/true).ok());
-}
-
-TEST_F(ModelArtifactTest, TextRoundTripIsByteIdentical) {
-  const std::string path = Track(TempPath("pcde_model.txt"));
-  ASSERT_TRUE(SaveWeightFunction(*wp_, path).ok());
-  auto loaded = LoadWeightFunction(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Text round trips through %.17g, which is double-exact, and the loader
-  // does not renormalize — so even the fingerprint survives.
-  EXPECT_EQ(loaded.value().fingerprint(), wp_->fingerprint());
-  ExpectGoldenEquivalence(loaded.value());
 }
 
 TEST_F(ModelArtifactTest, QueryCacheEntriesSurviveSaveLoad) {
@@ -280,7 +264,8 @@ TEST_F(ModelArtifactTest, BinaryLoadDoesNoPerBucketAllocation) {
 
 TEST_F(ModelArtifactTest, FromSectionsRejectsSemanticGarbage) {
   // A checksum says nothing about a *crafted* artifact; FromSections must
-  // also enforce the semantic invariants Make gives the text path.
+  // also enforce the semantic invariants HistogramND::Make enforces on a
+  // built model.
   struct Flat {
     std::vector<uint64_t> seq_off{0, 1};
     std::vector<roadnet::EdgeId> seq_edges{3};
@@ -340,7 +325,7 @@ TEST_F(ModelArtifactTest, FromSectionsRejectsSemanticGarbage) {
 }
 
 TEST_F(ModelArtifactTest, SaveRejectsModelsNoLoaderWouldAccept) {
-  // Save-side mirror of the loaders' limits: failures surface at build
+  // Save-side mirror of the loader's limits: failures surface at build
   // time instead of at query-server start.
   const std::string path = Track(TempPath("pcde_model_unsaveable"));
   {
@@ -352,8 +337,8 @@ TEST_F(ModelArtifactTest, SaveRejectsModelsNoLoaderWouldAccept) {
     v.joint = hist::HistogramND::FromHistogram1D(Histogram1D::Single(1, 2));
     builder.Add(std::move(v));
     const PathWeightFunction big = std::move(builder).Freeze();
-    EXPECT_FALSE(SaveWeightFunctionBinary(big, path).ok());
-    EXPECT_FALSE(SaveWeightFunction(big, path).ok());
+    EXPECT_EQ(SaveWeightFunctionBinary(big, path).code(),
+              StatusCode::kInvalidArgument);
   }
   {
     // Alpha below the artifact range (sub-second binning).
@@ -364,8 +349,8 @@ TEST_F(ModelArtifactTest, SaveRejectsModelsNoLoaderWouldAccept) {
     v.joint = hist::HistogramND::FromHistogram1D(Histogram1D::Single(1, 2));
     builder.Add(std::move(v));
     const PathWeightFunction tiny = std::move(builder).Freeze();
-    EXPECT_FALSE(SaveWeightFunctionBinary(tiny, path).ok());
-    EXPECT_FALSE(SaveWeightFunction(tiny, path).ok());
+    EXPECT_EQ(SaveWeightFunctionBinary(tiny, path).code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
@@ -441,70 +426,6 @@ TEST_F(ModelArtifactTest, BinarySurvivesByteFlipsWithoutCrashing) {
   EXPECT_GT(rejected, 0u);
   // Padding bytes are rare; almost every flip must be rejected.
   EXPECT_GT(rejected, 20 * unaffected);
-}
-
-TEST_F(ModelArtifactTest, TextRejectsCorruptRecords) {
-  const char* cases[] = {
-      "BINNING,abc\n",                                  // non-numeric binning
-      "BINNING,-30\n",                                  // negative binning
-      "BINNING,0.001\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n",  // alpha < 1 s
-      // Duplicate BINNING (would silently re-bind the alpha grid).
-      "BINNING,30\nBINNING,60\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n",
-      "VAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\n",           // v1: no BINNING
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0\nBINNING,30\n",
-      "BINNING,30\nVAR,xx,40,0,1,3\nDIM,20,30\nHB,1,0\n",   // bad interval
-      "BINNING,30\nVAR,16,40,0,abc,3\n",                    // bad rank
-      "BINNING,30\nVAR,16,40,0,0\n",                        // rank 0
-      "BINNING,30\nVAR,16,40,0,1,99999999999\n",            // edge overflow
-      "BINNING,30\nVAR,16,40,0,1,20000000\nDIM,20,30\nHB,1,0\n",
-      // ^ edge id above kMaxArtifactEdgeId: must not size the dense
-      //   candidate index to it
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,zz\nHB,1,0\n",   // bad boundary
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,30,20\nHB,1,0\n",   // unsorted bounds
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,x,0\n",   // bad prob
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,nan,0\n",  // NaN prob
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,inf,30\nHB,1,0\n",   // inf boundary
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,7\n",   // index range
-      "BINNING,30\nVAR,16,40,0,1,3\nDIM,20,30\nHB,1,0,0\n",  // HB arity
-      "BINNING,30\nDIM,20,30\n",                            // DIM before VAR
-      "BINNING,30\nWHAT,1\n",                               // unknown record
-      "BINNING,30\nVAR,16,40,0,2,3,4\nDIM,20,30\nHB,1,0,0\n",  // missing DIM
-      "BINNING,30\nVAR,16,40,0,1,3\nVAR,16,41,0,1,3\n",     // no payload
-  };
-  const std::string path = Track(TempPath("pcde_model_badtext.txt"));
-  for (size_t i = 0; i < sizeof(cases) / sizeof(cases[0]); ++i) {
-    {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      ASSERT_NE(f, nullptr);
-      std::fputs(cases[i], f);
-      std::fclose(f);
-    }
-    auto loaded = LoadWeightFunction(path);
-    EXPECT_FALSE(loaded.ok()) << "case " << i << " loaded: " << cases[i];
-  }
-}
-
-TEST_F(ModelArtifactTest, TextSurvivesLineTruncation) {
-  const std::string full = Track(TempPath("pcde_model_full.txt"));
-  ASSERT_TRUE(SaveWeightFunction(*wp_, full).ok());
-  std::ifstream in(full);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line) && lines.size() < 400;) {
-    lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 50u);
-  // Cutting the stream mid-model must never crash; it either still forms a
-  // valid (smaller) model or fails cleanly.
-  const std::string cut = Track(TempPath("pcde_model_cutlines.txt"));
-  for (size_t keep : {3u, 10u, 37u, 50u}) {
-    std::ofstream out(cut, std::ios::trunc);
-    for (size_t i = 0; i < keep; ++i) out << lines[i] << "\n";
-    // Additionally chop the last kept line in half.
-    out << lines[keep].substr(0, lines[keep].size() / 2) << "\n";
-    out.close();
-    auto loaded = LoadWeightFunction(cut);  // ok or clean error; no crash
-    (void)loaded;
-  }
 }
 
 TEST_F(ModelArtifactTest, SwapSurvivesCorruptArtifactSweep) {
@@ -597,6 +518,60 @@ TEST_F(ModelArtifactTest, SwapSurvivesCorruptArtifactSweep) {
   auto swapped = engine.Swap(good);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_EQ(engine.model().fingerprint(), wp_->fingerprint());
+}
+
+TEST_F(ModelArtifactTest, TextModelFilesAreRejectedByOpenAndSwap) {
+  // PCDEWF1 is the only model format. A record stream in the retired text
+  // layout (BINNING, then VAR/DIM/HB groups) is a foreign file: Open and
+  // Swap reject it as a content error, Swap without a retry, and the
+  // served epoch stays put.
+  const std::string text = Track(TempPath("pcde_model_text.txt"));
+  {
+    std::FILE* f = std::fopen(text.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("# pcde weight function v2\nBINNING,30\nVAR,16,40,0,1,3\n"
+               "DIM,20,30\nHB,1,0\n",
+               f);
+    std::fclose(f);
+  }
+  serving::EngineOptions text_options;
+  text_options.model_path = text;
+  text_options.graph = dataset_->graph.get();
+  text_options.num_threads = 1;
+  auto opened_text = serving::Engine::Open(std::move(text_options));
+  ASSERT_FALSE(opened_text.ok());
+  EXPECT_EQ(opened_text.status().code(), StatusCode::kInvalidArgument)
+      << opened_text.status().ToString();
+
+  const std::string good = Track(TempPath("pcde_model_text_good.bin"));
+  ASSERT_TRUE(SaveWeightFunctionBinary(*wp_, good).ok());
+  serving::EngineOptions options;
+  options.model_path = good;
+  options.graph = dataset_->graph.get();
+  options.num_threads = 1;
+  options.swap_policy.max_attempts = 3;  // a content error still never retries
+  options.swap_policy.initial_backoff_seconds = 0.0;
+  auto opened = serving::Engine::Open(std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serving::Engine& engine = *opened.value();
+
+  auto swapped = engine.Swap(text);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument)
+      << swapped.status().ToString();
+  EXPECT_EQ(engine.stats().swap_attempts, 1u);
+  EXPECT_EQ(engine.stats().swap_retries, 0u);
+  EXPECT_EQ(engine.epoch_sequence(), 1u);
+
+  const std::vector<Query> queries = MakeQueries(1);
+  ASSERT_FALSE(queries.empty());
+  serving::EstimateRequest request;
+  request.path = serving::PathSpec::ExplicitPath(queries[0].path);
+  request.departure_time = queries[0].departure_time;
+  auto response = engine.Estimate(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().model_fingerprint, wp_->fingerprint());
+  EXPECT_EQ(response.value().epoch, 1u);
 }
 
 }  // namespace

@@ -414,7 +414,19 @@ TEST_F(ServingEngineTest, NonFiniteOrUnbucketableInputsAreInvalid) {
         << departure;
     requests.push_back(request);
   }
+  // Quantile levels outside [0, 1]: a NaN level would otherwise pass
+  // Histogram1D::Quantile's clamp and read as the support maximum.
+  for (double level : {nan, inf, -0.1, 1.5}) {
+    EstimateRequest request = WithDistribution(PathSpec::OdPair(3, 200));
+    request.quantiles = {0.5, level};
+    EXPECT_EQ(engine->Estimate(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << level;
+    requests.push_back(request);
+  }
+  // The unit interval's ends are valid levels.
   requests.push_back(WithDistribution(PathSpec::OdPair(3, 200)));
+  requests.back().quantiles = {0.0, 1.0};
   auto responses = engine->EstimateBatch(requests);
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t i = 0; i + 1 < responses.size(); ++i) {
