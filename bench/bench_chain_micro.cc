@@ -361,10 +361,31 @@ int main(int argc, char** argv) {
   }
   {
     // The cached serving path: repeated batches against the engine's query
-    // cache (reps > 1 turns every repeat into hits).
+    // cache. The cache stores a result on its second offer, so one untimed
+    // batch first offers every distinct request once (the workload asks
+    // each path three times, once per method); the first timed batch then
+    // inserts and every later one hits, as before admission needed a
+    // second offer.
     auto engine = open_engine(/*threads=*/4,
                               /*cache_bytes=*/size_t{64} << 20);
     if (engine == nullptr) return 1;
+    std::vector<serving::EstimateRequest> distinct;
+    for (const serving::EstimateRequest& request : requests) {
+      const bool seen = std::any_of(
+          distinct.begin(), distinct.end(),
+          [&](const serving::EstimateRequest& d) {
+            return d.path.edges == request.path.edges &&
+                   d.departure_time == request.departure_time;
+          });
+      if (!seen) distinct.push_back(request);
+    }
+    for (const auto& response : engine->EstimateBatch(distinct)) {
+      if (!response.ok()) {
+        std::fprintf(stderr, "untimed cache batch request failed: %s\n",
+                     response.status().ToString().c_str());
+        return 1;
+      }
+    }
     BatchRun run;
     for (int r = 0; r < std::max(2, batch_reps); ++r) {
       if (!engine_batch_once(*engine, &run)) return 1;

@@ -34,15 +34,18 @@
 #      shards under an LRU cap, and batches plus routes under a cap of one
 #      shard while another thread swaps manifest generations, every answer
 #      equal to the single-model reference of its generation.
-#   2. Optional Debug + TSan build (skipped with a notice when the
+#   2. Optional Debug + TSan build at -O1 (skipped with a notice when the
 #      toolchain can't produce one) running the thread pool, admission,
-#      overload-chaos, routing, routing-pruning, fault-sweep, and sharded
-#      serving suites — the lock-order/data-race angle on the same
-#      cancellation and shedding machinery plus the shared-incumbent /
-#      strided-budget atomics, the root fan-out's pool threads reading
-#      Route's per-call bound vectors, the armed-injector / retrying-swap
-#      paths, and shard attach/evict publishing epochs while requests pin
-#      them.
+#      overload-chaos, routing, routing-pruning, fault-sweep, sharded
+#      serving and query cache suites — the lock-order/data-race angle on
+#      the same cancellation and shedding machinery plus the
+#      shared-incumbent / strided-budget atomics, the root fan-out's pool
+#      threads reading Route's per-call bound vectors, the armed-injector /
+#      retrying-swap paths, shard attach/evict publishing epochs while
+#      requests pin them, and the query cache's lock-free doorkeeper table,
+#      which every miss writes from every thread. -O1 for the reason step 1
+#      uses it: query_cache_test's fixture instantiates a 3000-trip model,
+#      which takes ~6 min under TSan at -O0 and ~50 s at -O1 (4-vCPU host).
 #   3. RelWithDebInfo + UBSan running the whole ctest suite; the first
 #      report aborts its test (UBSAN_OPTIONS=halt_on_error=1), so any
 #      undefined behaviour fails the gate.
@@ -106,16 +109,17 @@ echo "=== [1/6] Sharded-serving gate (attach/evict + swaps under ASan) ==="
 ./build-asan/sharded_engine_test \
   --gtest_filter='ShardedServingTest.ConcurrentBatchMatchesSequentialServing:ShardedServingTest.BatchesAndRoutesStayExactUnderEvictionAndSwaps'
 
-echo "=== [2/6] Optional Debug + TSan build (thread pool, admission, chaos, routing, shards) ==="
+echo "=== [2/6] Optional Debug + TSan build at -O1 (thread pool, admission, chaos, routing, shards, query cache) ==="
 # Not every toolchain in the build matrix ships a working TSan runtime
 # (some libc/arch combinations can't even link it), so this step probes
 # first and skips with a notice instead of failing the gate.
 if cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=thread \
+        -DCMAKE_CXX_FLAGS_DEBUG="-g -O1" \
         -DPCDE_SIMD=OFF -DPCDE_BUILD_BENCHES=OFF -DPCDE_BUILD_EXAMPLES=OFF \
         > build-tsan-configure.log 2>&1 \
    && cmake --build build-tsan -j --target thread_pool_test admission_test \
         overload_chaos_test routing_test routing_pruning_test fault_sweep_test \
-        sharded_engine_test > build-tsan-build.log 2>&1 \
+        sharded_engine_test query_cache_test > build-tsan-build.log 2>&1 \
    && ./build-tsan/thread_pool_test --gtest_brief=1 > /dev/null 2>&1; then
   ./build-tsan/thread_pool_test
   ./build-tsan/admission_test
@@ -124,6 +128,7 @@ if cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DPCDE_SANITIZE=thread \
   ./build-tsan/routing_pruning_test
   ./build-tsan/fault_sweep_test
   ./build-tsan/sharded_engine_test
+  ./build-tsan/query_cache_test
 else
   echo "ci: TSan build unavailable on this toolchain — skipping (see build-tsan-*.log)"
 fi

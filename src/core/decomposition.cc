@@ -18,21 +18,40 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
   array.rows.resize(query.size());
 
   const TimeBinning binning = view_.binning();
+  // Per-rank overlap scratch; rows are at most as wide as the longest
+  // variable of their edge (HybridParams::max_instantiated_rank, 8 by
+  // default), so it lives on the stack unless a model is built wider.
+  constexpr size_t kInlineRanks = 16;
+  double inline_overlap[kInlineRanks];
+  std::vector<double> wide_overlap;
   // Eq. 3: UI_1 = [t, t]; UI_k = SAE(UI_{k-1}, V_{e_{k-1}}).
   Interval window(departure_time, departure_time);
   for (size_t k = 0; k < query.size(); ++k) {
     CandidateRow& row = array.rows[k];
     row.departure_window = window;
-    const size_t max_rank =
-        rank_cap > 0 ? std::min(rank_cap, query.size() - k) : query.size() - k;
-    row.by_rank.assign(max_rank, nullptr);
+    const VariableList candidates = view_.StartingAt(query[k]);
+    // Row k holds ranks 1..width: no variable of the edge is longer than
+    // `longest`, so wider rows would only carry trailing nullptrs.
+    size_t longest = 0;
+    for (const InstantiatedVariable* v : candidates) {
+      longest = std::max(longest, v->rank());
+    }
+    size_t width = std::min(longest, query.size() - k);
+    if (rank_cap > 0) width = std::min(width, rank_cap);
+    row.by_rank.assign(std::max<size_t>(width, 1), nullptr);
+    double* best_overlap = inline_overlap;
+    if (width > kInlineRanks) {
+      wide_overlap.assign(width, 0.0);
+      best_overlap = wide_overlap.data();
+    } else {
+      std::fill(inline_overlap, inline_overlap + width, 0.0);
+    }
 
     // Spatially relevant variables starting at this row's edge; keep, per
     // rank, the temporally most relevant one (largest overlap ratio).
-    std::vector<double> best_overlap(max_rank, 0.0);
-    for (const InstantiatedVariable* v : view_.StartingAt(query[k])) {
+    for (const InstantiatedVariable* v : candidates) {
       const size_t r = v->rank();
-      if (r == 0 || r > max_rank) continue;
+      if (r == 0 || r > width) continue;
       // Spatial relevance: the variable's path must be the query slice.
       bool spatial = true;
       for (size_t d = 0; d < r; ++d) {
@@ -89,11 +108,12 @@ namespace {
 
 /// Appends `part` unless its span is contained in an already-selected part
 /// (Algorithm 1's sub-path elimination; spans of the same query path, so
-/// positional containment == the sub-path relation).
+/// positional containment == the sub-path relation). Parts arrive in
+/// increasing start order, so a kept part starts at or before `part` and
+/// `part` is contained in one iff it ends no later than the furthest kept
+/// end; kept ends strictly increase, so that is the last part's end.
 void AppendIfNotContained(Decomposition* de, DecompositionPart part) {
-  for (const DecompositionPart& p : *de) {
-    if (p.start <= part.start && part.end() <= p.end()) return;
-  }
+  if (!de->empty() && part.end() <= de->back().end()) return;
   de->push_back(part);
 }
 

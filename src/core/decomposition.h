@@ -17,7 +17,10 @@ namespace core {
 
 /// \brief One row of the candidate array (Table 1): the variables whose
 /// paths start at the row's edge, indexed by rank (by_rank[r-1] is the rank-r
-/// variable or nullptr), plus the row's updated departure window UI_k.
+/// variable or nullptr), plus the row's updated departure window UI_k. A
+/// row is as wide as the longest variable starting at its edge, capped by
+/// the rest of the query and the rank cap (at least 1), so a query's rows
+/// take space linear in its length.
 struct CandidateRow {
   std::vector<const InstantiatedVariable*> by_rank;
   Interval departure_window;  // UI_k from Eq. 3

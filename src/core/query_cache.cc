@@ -22,10 +22,10 @@ double DepartureBucket(double departure_time, double time_bucket_seconds) {
 
 }  // namespace
 
-size_t QueryCache::KeyHash::operator()(const Key& k) const {
+uint64_t QueryCache::HashOf(const Key& k) {
   uint64_t h = Mix64(k.size());
   for (uint64_t v : k) h = Mix64(h ^ v);
-  return static_cast<size_t>(h);
+  return h;
 }
 
 QueryCache::QueryCache(QueryCacheOptions options) : options_(options) {
@@ -45,6 +45,10 @@ QueryCache::QueryCache(QueryCacheOptions options) : options_(options) {
           evictions_.fetch_add(1, std::memory_order_relaxed);
         });
   }
+  size_t slots = 1;
+  while (slots < options_.max_bytes / kDoorkeeperBytesPerSlot) slots <<= 1;
+  doorkeeper_ = std::make_unique<std::atomic<uint64_t>[]>(slots);
+  doorkeeper_mask_ = slots - 1;
 }
 
 uint64_t QueryCache::Fingerprint(const ChainOptions& chain) {
@@ -98,12 +102,8 @@ size_t QueryCache::EntryBytes(const Key& key,
          kEntryOverheadBytes;
 }
 
-QueryCache::Shard& QueryCache::ShardFor(const Key& key) {
-  return *shards_[KeyHash()(key) & shard_mask_];
-}
-
 bool QueryCache::Lookup(const Key& key, hist::Histogram1D* out) {
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(HashOf(key));
   std::shared_ptr<const hist::Histogram1D> found;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -121,7 +121,18 @@ bool QueryCache::Lookup(const Key& key, hist::Histogram1D* out) {
 void QueryCache::Insert(const Key& key, const hist::Histogram1D& result) {
   const size_t bytes = EntryBytes(key, result);
   if (bytes > per_shard_budget_) return;  // cannot fit even alone
-  Shard& shard = ShardFor(key);
+  // The doorkeeper: swap this key's tag into its slot, and go on only if
+  // the slot already held it (this key was the last one offered there).
+  // Relaxed suffices: a tag only gates admission, the entry itself is
+  // published under the shard lock.
+  const uint64_t hash = HashOf(key);
+  const uint64_t tag = hash | 1;  // 0 marks an empty slot
+  if (doorkeeper_[hash & doorkeeper_mask_].exchange(
+          tag, std::memory_order_relaxed) != tag) {
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  Shard& shard = ShardFor(hash);
   bool inserted;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -141,6 +152,7 @@ QueryCacheStats QueryCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.refused = refused_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     s.entries += shard->lru.entries();
@@ -153,6 +165,9 @@ void QueryCache::Clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->lru.Clear();
+  }
+  for (size_t i = 0; i <= doorkeeper_mask_; ++i) {
+    doorkeeper_[i].store(0, std::memory_order_relaxed);
   }
 }
 

@@ -14,10 +14,21 @@
 // fingerprint turns a cache shared across *different* models into misses
 // instead of false hits.
 //
+// Admission is frequency-aware (the doorkeeper of TinyLFU: Einziger,
+// Friedman and Manes, ACM TOS 2017): a result is stored on its key's second
+// offer, so a key asked once never displaces entries that are asked again.
+// The doorkeeper is a fixed, direct-mapped table of 64-bit key-hash tags,
+// one slot per kDoorkeeperBytesPerSlot of the byte budget; an offer swaps
+// its tag into the key's slot and is stored only if the same tag was
+// already there. A miss followed by an Insert is an offer, so the first
+// ask of a key misses, the second misses and stores, and the third hits.
+// Traffic that never repeats leaves the cache empty.
+//
 // Shards are independent mutex-protected LRU lists, selected by key hash,
 // so concurrent EstimateBatch workers rarely contend; the byte budget is
 // split evenly across shards and enforced by evicting each shard's least
-// recently used entries.
+// recently used entries. The doorkeeper is lock-free and shared by all
+// shards.
 #pragma once
 
 #include <atomic>
@@ -50,6 +61,9 @@ struct QueryCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
+  /// Offers the doorkeeper turned away: the key's tag was not in its slot
+  /// (a first offer, or another key took the slot since the last one).
+  uint64_t refused = 0;
   size_t entries = 0;
   size_t bytes = 0;
 
@@ -97,17 +111,29 @@ class QueryCache {
   /// True and fills *out (a copy of the cached histogram) on a hit.
   bool Lookup(const Key& key, hist::Histogram1D* out);
 
-  /// Inserts (or refreshes) the result for `key`, then evicts the owning
-  /// shard down to its byte budget. Entries larger than a whole shard's
-  /// budget are not admitted.
+  /// Offers the result for `key`. The doorkeeper admits it only on the
+  /// key's second offer in a row at its slot (see the header comment);
+  /// an admitted result is inserted (or refreshes recency when present),
+  /// then the owning shard is evicted down to its byte budget. Entries
+  /// larger than a whole shard's budget are never admitted.
   void Insert(const Key& key, const hist::Histogram1D& result);
 
   QueryCacheStats stats() const;
+  /// Drops every entry and empties the doorkeeper.
   void Clear();
 
+  /// Byte budget per doorkeeper slot. A typical entry (a ~10-part key and
+  /// a few dozen buckets) takes 1-2 KiB, so the table tracks several times
+  /// as many keys as the budget holds; it costs 8 bytes per slot, 1/64 of
+  /// the budget.
+  static constexpr size_t kDoorkeeperBytesPerSlot = 512;
+
  private:
+  static uint64_t HashOf(const Key& k);
   struct KeyHash {
-    size_t operator()(const Key& k) const;
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(HashOf(k));
+    }
   };
   /// One LRU shard: the shared common/lru.h core under the shard mutex.
   /// The histogram is held by shared_ptr so a hit only bumps a refcount
@@ -120,16 +146,21 @@ class QueryCache {
   };
 
   static size_t EntryBytes(const Key& key, const hist::Histogram1D& result);
-  Shard& ShardFor(const Key& key);
+  Shard& ShardFor(uint64_t hash) { return *shards_[hash & shard_mask_]; }
 
   QueryCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t per_shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Doorkeeper slots: the tag (key hash with bit 0 set) of the last key
+  /// offered at each slot, 0 when none was; a power-of-two count.
+  std::unique_ptr<std::atomic<uint64_t>[]> doorkeeper_;
+  size_t doorkeeper_mask_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> refused_{0};
 };
 
 }  // namespace core

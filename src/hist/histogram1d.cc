@@ -97,6 +97,9 @@ double Histogram1D::Cdf(double x) const {
 }
 
 double Histogram1D::Quantile(double q) const {
+  // std::clamp passes NaN through, and no `acc + prob >= q` test holds for
+  // it: without this check a NaN level would read as the support maximum.
+  if (std::isnan(q)) return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
   double acc = 0.0;
   for (const Bucket& b : buckets_) {

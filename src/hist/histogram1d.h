@@ -83,7 +83,8 @@ class Histogram1D {
   /// of arriving within 60 min", Fig. 1a).
   double ProbWithin(double budget) const { return Cdf(budget); }
 
-  /// Smallest x with Cdf(x) >= q.
+  /// Smallest x with Cdf(x) >= q; q is clamped to [0, 1], and a NaN q
+  /// gives NaN.
   double Quantile(double q) const;
 
   /// Probability mass falling inside `iv`.

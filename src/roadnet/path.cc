@@ -7,24 +7,56 @@
 namespace pcde {
 namespace roadnet {
 
+namespace {
+
+/// Per-thread visited marks for ValidatePath, indexed by vertex id: a
+/// vertex is visited in the current call iff its mark equals the call's
+/// stamp. Each call takes a fresh stamp, so nothing is cleared between
+/// calls and nothing is allocated once the array covers the graph.
+struct VisitMarks {
+  std::vector<uint32_t> mark;
+  uint32_t stamp = 0;
+
+  /// Starts a call over a graph of `num_vertices` vertices.
+  void Begin(size_t num_vertices) {
+    if (mark.size() < num_vertices) mark.resize(num_vertices, 0);
+    if (++stamp == 0) {  // wrapped: old marks could alias the new stamp
+      std::fill(mark.begin(), mark.end(), 0);
+      stamp = 1;
+    }
+  }
+  /// Marks `v`; false when it was already marked in this call.
+  bool Visit(VertexId v) {
+    if (mark[v] == stamp) return false;
+    mark[v] = stamp;
+    return true;
+  }
+};
+
+}  // namespace
+
 Status ValidatePath(const Graph& g, const std::vector<EdgeId>& edges) {
   if (edges.empty()) {
     return Status::InvalidArgument("path must contain at least one edge");
   }
-  std::unordered_set<VertexId> seen;
-  for (size_t i = 0; i < edges.size(); ++i) {
-    if (edges[i] >= g.NumEdges()) {
+  // Every id first: the adjacency test below reads both of its edges.
+  for (EdgeId e : edges) {
+    if (e >= g.NumEdges()) {
       return Status::InvalidArgument("unknown edge id in path");
     }
+  }
+  thread_local VisitMarks seen;
+  seen.Begin(g.NumVertices());
+  for (size_t i = 0; i < edges.size(); ++i) {
     if (i + 1 < edges.size() && !g.AreAdjacent(edges[i], edges[i + 1])) {
       return Status::InvalidArgument("edges are not adjacent at position " +
                                      std::to_string(i));
     }
-    if (!seen.insert(g.edge(edges[i]).from).second) {
+    if (!seen.Visit(g.edge(edges[i]).from)) {
       return Status::InvalidArgument("path revisits a vertex (not simple)");
     }
   }
-  if (!seen.insert(g.edge(edges.back()).to).second) {
+  if (!seen.Visit(g.edge(edges.back()).to)) {
     return Status::InvalidArgument("path revisits its final vertex");
   }
   return Status::OK();

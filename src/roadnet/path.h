@@ -102,7 +102,12 @@ struct PathHash {
   }
 };
 
-/// Validates the paper's path definition on a raw edge sequence.
+/// Validates the paper's path definition on a raw edge sequence:
+/// InvalidArgument for an empty path, any edge id outside `g` (checked
+/// before anything else reads an edge), the first non-adjacent pair, or a
+/// revisited vertex. Thread-safe; it allocates nothing once the calling
+/// thread's visited marks (4 bytes per vertex of the largest graph it has
+/// validated on) cover `g`.
 Status ValidatePath(const Graph& g, const std::vector<EdgeId>& edges);
 
 }  // namespace roadnet

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "hist/histogram1d.h"
+#include "serving/engine.h"
 
 namespace pcde {
 namespace hist {
@@ -100,6 +101,19 @@ TEST(Histogram1DTest, QuantileInvertsCdf) {
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 10.0);
   EXPECT_DOUBLE_EQ(h.Quantile(0.75), 20.0);
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 30.0);
+}
+
+TEST(Histogram1DTest, QuantileOfNanIsNan) {
+  // std::clamp passes NaN through, and a NaN level used to read as the
+  // support maximum, here and in every summary built on it.
+  const Histogram1D h = MustMake({{0, 10, 0.5}, {10, 30, 0.5}});
+  EXPECT_TRUE(std::isnan(h.Quantile(std::nan(""))));
+  const serving::CostSummary summary = serving::SummarizeDistribution(
+      h, serving::kStatQuantiles, /*budget_seconds=*/0.0,
+      {0.5, std::nan("")});
+  ASSERT_EQ(summary.quantiles.size(), 2u);
+  EXPECT_DOUBLE_EQ(summary.quantiles[0], 10.0);
+  EXPECT_TRUE(std::isnan(summary.quantiles[1]));
 }
 
 TEST(Histogram1DTest, MassOfSubInterval) {

@@ -217,12 +217,21 @@ TEST_F(ModelArtifactTest, QueryCacheEntriesSurviveSaveLoad) {
   // Warm the shared cache through the *built* model, then serve the same
   // queries from the *loaded* model: frozen ids + content fingerprint make
   // every one a hit, and results stay byte-identical to the uncached path.
+  // The cache admits a result on its second offer, so warming asks each
+  // query twice in a row, and the second ask still misses.
   QueryCache cache;
   HybridEstimator warmer(*wp_);
   warmer.set_query_cache(&cache);
-  for (const Query& q : queries) {
-    ASSERT_TRUE(
-        warmer.EstimateCostDistribution(q.path, q.departure_time).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (int ask = 0; ask < 2; ++ask) {
+      EstimateBreakdown breakdown;
+      ASSERT_TRUE(warmer
+                      .EstimateCostDistribution(queries[i].path,
+                                                queries[i].departure_time,
+                                                &breakdown)
+                      .ok());
+      EXPECT_FALSE(breakdown.cache_hit) << "query " << i << " ask " << ask;
+    }
   }
   const uint64_t hits_before = cache.stats().hits;
 

@@ -1,11 +1,14 @@
-// Tests for the sharded LRU query cache: hit/miss accounting, LRU
-// memory-budget eviction, and the serving-layer equivalence guarantee —
-// concurrent estimates sharing a cache must be bit-identical to the
-// sequential estimator without one.
+// Tests for the sharded LRU query cache: hit/miss accounting, second-offer
+// admission through the doorkeeper, LRU memory-budget eviction, and the
+// serving-layer equivalence guarantee — concurrent estimates sharing a
+// cache must be bit-identical to the sequential estimator without one.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/estimator.h"
@@ -35,7 +38,9 @@ TEST(QueryCacheTest, HitMissAndInsertionAccounting) {
   QueryCache cache;
   Histogram1D out;
   EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
-  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));  // first offer: refused
+  EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));  // second offer: stored
   EXPECT_TRUE(cache.Lookup(KeyOf(1), &out));
   EXPECT_EQ(out.NumBuckets(), 2u);
   EXPECT_DOUBLE_EQ(out.bucket(0).prob, 0.25);
@@ -43,20 +48,29 @@ TEST(QueryCacheTest, HitMissAndInsertionAccounting) {
 
   const QueryCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.refused, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
-  EXPECT_NEAR(stats.HitRate(), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(stats.HitRate(), 1.0 / 4.0, 1e-12);
 }
 
 TEST(QueryCacheTest, InsertIsIdempotentPerKey) {
   QueryCache cache;
-  cache.Insert(KeyOf(5), TwoBucketHistogram(0.0));
+  cache.Insert(KeyOf(5), TwoBucketHistogram(0.0));  // refused
+  cache.Insert(KeyOf(5), TwoBucketHistogram(0.0));  // stored
   cache.Insert(KeyOf(5), TwoBucketHistogram(0.0));  // concurrent-miss replay
   const QueryCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
+}
+
+/// Offers `value` for `key` twice, so the doorkeeper admits it.
+void InsertAdmitted(QueryCache* cache, const QueryCache::Key& key,
+                    const Histogram1D& value) {
+  cache->Insert(key, value);
+  cache->Insert(key, value);
 }
 
 TEST(QueryCacheTest, BudgetEvictionIsLeastRecentlyUsedFirst) {
@@ -66,13 +80,19 @@ TEST(QueryCacheTest, BudgetEvictionIsLeastRecentlyUsedFirst) {
   options.max_bytes = 3 * (160 + 2 * 16 + 2 * sizeof(hist::Bucket)) + 200;
   QueryCache cache(options);
 
-  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));
-  cache.Insert(KeyOf(2), TwoBucketHistogram(2.0));
-  cache.Insert(KeyOf(3), TwoBucketHistogram(3.0));
+  InsertAdmitted(&cache, KeyOf(1), TwoBucketHistogram(1.0));
+  InsertAdmitted(&cache, KeyOf(2), TwoBucketHistogram(2.0));
+  InsertAdmitted(&cache, KeyOf(3), TwoBucketHistogram(3.0));
   Histogram1D out;
   ASSERT_TRUE(cache.Lookup(KeyOf(1), &out));  // refresh 1: LRU order 2 < 3 < 1
 
-  cache.Insert(KeyOf(4), TwoBucketHistogram(4.0));  // evicts 2 first
+  // A first offer of 4 is refused: it misses and evicts nothing.
+  cache.Insert(KeyOf(4), TwoBucketHistogram(4.0));
+  EXPECT_FALSE(cache.Lookup(KeyOf(4), &out));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+
+  cache.Insert(KeyOf(4), TwoBucketHistogram(4.0));  // stored: evicts 2 first
   EXPECT_FALSE(cache.Lookup(KeyOf(2), &out));
   EXPECT_TRUE(cache.Lookup(KeyOf(1), &out));
   EXPECT_TRUE(cache.Lookup(KeyOf(4), &out));
@@ -91,10 +111,97 @@ TEST(QueryCacheTest, OversizedEntriesAreNotAdmitted) {
   options.num_shards = 1;
   options.max_bytes = 64;  // smaller than any entry
   QueryCache cache(options);
-  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  InsertAdmitted(&cache, KeyOf(1), TwoBucketHistogram(0.0));
   EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
   Histogram1D out;
   EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
+}
+
+TEST(QueryCacheTest, DoorkeeperAdmitsOnTheSecondOffer) {
+  QueryCache cache;
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  QueryCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.refused, 1u);
+
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.refused, 1u);
+  Histogram1D out;
+  ASSERT_TRUE(cache.Lookup(KeyOf(1), &out));
+  EXPECT_TRUE(out.BitIdentical(TwoBucketHistogram(0.0)));
+
+  // Clear empties the doorkeeper too: the next offer is a first offer.
+  cache.Clear();
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().refused, 2u);
+}
+
+TEST(QueryCacheTest, DoorkeeperRefusesAKeyWhoseSlotWasOverwritten) {
+  // A one-slot doorkeeper: every key shares the slot.
+  QueryCacheOptions options;
+  options.num_shards = 1;
+  options.max_bytes = QueryCache::kDoorkeeperBytesPerSlot;
+  QueryCache cache(options);
+  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));
+  cache.Insert(KeyOf(2), TwoBucketHistogram(2.0));  // takes 1's slot
+  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));  // refused again
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().refused, 3u);
+  Histogram1D out;
+  EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
+
+  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));  // back to back: stored
+  EXPECT_EQ(cache.stats().entries, 1u);
+  ASSERT_TRUE(cache.Lookup(KeyOf(1), &out));
+  EXPECT_TRUE(out.BitIdentical(TwoBucketHistogram(1.0)));
+}
+
+TEST(QueryCacheTest, ConcurrentOffersInsertEachKeyAtMostOnce) {
+  // 4 threads each offer the same keys twice. The doorkeeper table is
+  // shared and lock-free; the shard lock keeps a key from being stored
+  // twice, and a hit must return exactly the histogram offered for it.
+  constexpr uint64_t kKeys = 1000;
+  constexpr int kThreads = 4;
+  QueryCache cache;
+  std::atomic<uint64_t> wrong_hits{0};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 2; ++round) {
+        for (uint64_t k = 0; k < kKeys; ++k) {
+          cache.Insert(KeyOf(k), TwoBucketHistogram(static_cast<double>(k)));
+        }
+      }
+      Histogram1D out;
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        if (!cache.Lookup(KeyOf(k), &out)) continue;
+        hits.fetch_add(1);
+        if (!out.BitIdentical(TwoBucketHistogram(static_cast<double>(k)))) {
+          wrong_hits.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const QueryCacheStats stats = cache.stats();
+  EXPECT_EQ(wrong_hits.load(), 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  // A key stored twice would count two insertions for one entry.
+  EXPECT_EQ(stats.insertions, stats.entries);
+  EXPECT_LE(stats.entries, kKeys);
+  // Only keys whose doorkeeper slot another key shares can stay out.
+  EXPECT_GE(stats.entries, kKeys * 9 / 10);
+  // Every stored key was stored by an offer that preceded its thread's
+  // lookups, and nothing is evicted, so each entry hits at least once.
+  EXPECT_GE(hits.load(), stats.entries);
 }
 
 /// A frozen one-variable model; `lo` sets its content, so models built with
@@ -227,8 +334,10 @@ void ExpectBitIdentical(const StatusOr<Histogram1D>& got,
 TEST_F(CachedEstimationFixture, BatchWithCacheMatchesSequentialWithout) {
   const std::vector<Query> base = MakeQueries(30);
   ASSERT_GE(base.size(), 10u);
-  // Duplicate every query so the batch exercises real hits.
+  // Three copies of every query so the batch exercises real hits: the
+  // cache stores a result on its second offer, so the third copy hits.
   std::vector<Query> queries = base;
+  queries.insert(queries.end(), base.begin(), base.end());
   queries.insert(queries.end(), base.begin(), base.end());
 
   const HybridEstimator plain(*wp_);
@@ -251,8 +360,8 @@ TEST_F(CachedEstimationFixture, BatchWithCacheMatchesSequentialWithout) {
     ExpectBitIdentical(batch[i], sequential, i);
   }
 
-  // The duplicated half must have been served from the cache (with 4
-  // threads a duplicate can race its original, so allow a small shortfall).
+  // The third copies must have been served from the cache (with 4 threads
+  // a copy can race an earlier one, so allow a small shortfall).
   uint64_t hits = 0;
   for (const EstimateBreakdown& b : breakdowns) hits += b.cache_hit ? 1 : 0;
   EXPECT_GE(hits, base.size() / 2);
@@ -266,18 +375,28 @@ TEST_F(CachedEstimationFixture, RepeatedSingleQueriesHitTheCache) {
   const std::vector<Query> queries = MakeQueries(5);
   ASSERT_FALSE(queries.empty());
 
-  EstimateBreakdown first, second;
+  // The first ask is refused by the doorkeeper, the second stores its
+  // result, the third hits.
+  EstimateBreakdown first, second, third;
   auto a = estimator.EstimateCostDistribution(queries[0].path,
                                               queries[0].departure_time,
                                               &first);
   auto b = estimator.EstimateCostDistribution(queries[0].path,
                                               queries[0].departure_time,
                                               &second);
+  auto c = estimator.EstimateCostDistribution(queries[0].path,
+                                              queries[0].departure_time,
+                                              &third);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(c.ok());
   EXPECT_FALSE(first.cache_hit);
-  EXPECT_TRUE(second.cache_hit);
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_TRUE(third.cache_hit);
   ExpectBitIdentical(b, a, 0);
+  ExpectBitIdentical(c, a, 0);
+  EXPECT_EQ(cache.stats().refused, 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 TEST_F(CachedEstimationFixture, EstimatorKeysSingleModelEntriesWordForWord) {
@@ -290,8 +409,11 @@ TEST_F(CachedEstimationFixture, EstimatorKeysSingleModelEntriesWordForWord) {
   const std::vector<Query> queries = MakeQueries(8);
   ASSERT_FALSE(queries.empty());
   for (const Query& q : queries) {
-    ASSERT_TRUE(
-        estimator.EstimateCostDistribution(q.path, q.departure_time).ok());
+    // Twice: the cache stores a result on its second offer.
+    for (int ask = 0; ask < 2; ++ask) {
+      ASSERT_TRUE(
+          estimator.EstimateCostDistribution(q.path, q.departure_time).ok());
+    }
     auto de = estimator.Decompose(q.path, q.departure_time);
     ASSERT_TRUE(de.ok());
     QueryCache::Key key{wp_->fingerprint(),

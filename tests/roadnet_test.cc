@@ -2,9 +2,13 @@
 // (Sec. 2.1 examples), generators, spatial index, and shortest paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <set>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "roadnet/generators.h"
@@ -129,6 +133,105 @@ TEST(PathTest, MakeRejectsVertexRevisit) {
   const EdgeId ca = g.AddEdge(c, a, 1, 10).value();
   const EdgeId abx = g.AddEdge(a, b, 1, 10).value();  // parallel edge
   EXPECT_FALSE(Path::Make(g, {ab, bc, ca, abx}).ok());  // revisits a and b
+}
+
+TEST(PathTest, OutOfRangeIdsAfterTheFirstAreUnknownEdges) {
+  // The adjacency test used to read the next id before it was range
+  // checked: {e, NumEdges()} answered "not adjacent", and an id far past
+  // the edge array crashed.
+  const Graph g = MakeCity(CityAConfig());
+  const EdgeId e = 0;
+  for (const EdgeId bad :
+       {static_cast<EdgeId>(g.NumEdges()), EdgeId{0x7ffffff0}}) {
+    const Status status = ValidatePath(g, {e, bad});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(status.message(), "unknown edge id in path") << bad;
+  }
+}
+
+TEST(PathTest, ValidatePathStatusesAreStable) {
+  // Every malformed shape with its Status message, in scan order: the
+  // first defect wins, and at one position adjacency is reported before a
+  // revisit. Only the rows with an unknown id after the first position
+  // read differently from the hash-set implementation this replaced,
+  // which reached into the edge array before range checking them.
+  Graph g;
+  const VertexId a = g.AddVertex(0, 0);
+  const VertexId b = g.AddVertex(1, 0);
+  const VertexId c = g.AddVertex(1, 1);
+  const VertexId d = g.AddVertex(2, 2);
+  const EdgeId ab = g.AddEdge(a, b, 1, 10).value();
+  const EdgeId bc = g.AddEdge(b, c, 1, 10).value();
+  const EdgeId ca = g.AddEdge(c, a, 1, 10).value();
+  const EdgeId abx = g.AddEdge(a, b, 1, 10).value();  // parallel edge
+  const EdgeId cd = g.AddEdge(c, d, 1, 10).value();
+  const EdgeId unknown = static_cast<EdgeId>(g.NumEdges());
+  const std::string kUnknown = "unknown edge id in path";
+  struct Case {
+    const char* name;
+    std::vector<EdgeId> edges;
+    std::string message;  // "" for OK
+  };
+  const std::vector<Case> cases = {
+      {"valid", {ab, bc, cd}, ""},
+      {"empty", {}, "path must contain at least one edge"},
+      {"unknown first", {unknown, bc}, kUnknown},
+      {"unknown middle", {ab, unknown, cd}, kUnknown},
+      {"unknown last", {ab, bc, unknown}, kUnknown},
+      {"not adjacent", {ab, cd}, "edges are not adjacent at position 0"},
+      {"not adjacent later", {ab, bc, ca, bc},
+       "edges are not adjacent at position 2"},
+      {"revisits a vertex", {ab, bc, ca, abx},
+       "path revisits a vertex (not simple)"},
+      {"revisits its final vertex", {ab, bc, ca},
+       "path revisits its final vertex"},
+      {"revisit and not adjacent at one position", {ab, bc, ca, abx, ab},
+       "edges are not adjacent at position 3"},
+      {"not adjacent before a revisit", {ab, cd, ca, abx},
+       "edges are not adjacent at position 0"},
+      {"unknown after a non-adjacent pair", {ab, cd, unknown}, kUnknown},
+  };
+  for (const Case& tc : cases) {
+    const Status status = ValidatePath(g, tc.edges);
+    if (tc.message.empty()) {
+      EXPECT_TRUE(status.ok()) << tc.name << ": " << status.ToString();
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << tc.name;
+    EXPECT_EQ(status.message(), tc.message) << tc.name;
+  }
+}
+
+TEST(PathTest, ValidatePathKeepsNoStateAcrossCallsOrGraphs) {
+  // The visited marks are reused per thread: a vertex visited in one call
+  // must not count as revisited in the next, on the same graph or on a
+  // larger one, and threads must not see each other's marks.
+  PaperGraph p;
+  const Graph city = MakeCity(CityAConfig());
+  const auto city_path = ShortestPath(city, 0, static_cast<VertexId>(
+                                                   city.NumVertices() - 1),
+                                      FreeFlowWeight(city));
+  ASSERT_TRUE(city_path.ok());
+  auto validate_all = [&] {
+    for (int round = 0; round < 3; ++round) {
+      if (!ValidatePath(p.g, {p.e1, p.e2, p.e3}).ok()) return false;
+      if (!ValidatePath(city, city_path.value().edges()).ok()) return false;
+      if (ValidatePath(p.g, {p.e1, p.e2, p.e1}).ok()) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(validate_all());
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 200; ++i) {
+        if (!validate_all()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(PathTest, IntersectPaperExample) {

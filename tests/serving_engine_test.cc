@@ -160,14 +160,25 @@ TEST_F(ServingEngineTest, CachedEngineIsBitIdenticalAndRecordsProvenance) {
   EXPECT_EQ(uncached->query_cache(), nullptr);
   const EstimateRequest request =
       WithDistribution(PathSpec::ExplicitPath(PathBetween(0, 30)));
+  // The cache admits a result on its second offer: the first ask is
+  // refused, the second stores it, and the third (same decomposition)
+  // hits.
   auto cold = cached->Estimate(request);
-  auto warm = cached->Estimate(request);  // same decomposition: cache hit
+  auto admitted = cached->Estimate(request);
+  auto warm = cached->Estimate(request);
   auto plain = uncached->Estimate(request);
-  ASSERT_TRUE(cold.ok() && warm.ok() && plain.ok());
+  ASSERT_TRUE(cold.ok() && admitted.ok() && warm.ok() && plain.ok());
   EXPECT_FALSE(cold.value().served_from_cache);
+  EXPECT_FALSE(admitted.value().served_from_cache);
   EXPECT_TRUE(warm.value().served_from_cache);
-  EXPECT_GT(cached->query_cache()->stats().hits, 0u);
+  const core::QueryCacheStats stats = cached->query_cache()->stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.refused, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
   EXPECT_TRUE(cold.value().distribution->BitIdentical(
+      *plain.value().distribution));
+  EXPECT_TRUE(admitted.value().distribution->BitIdentical(
       *plain.value().distribution));
   EXPECT_TRUE(warm.value().distribution->BitIdentical(
       *plain.value().distribution));
@@ -288,6 +299,43 @@ TEST_F(ServingEngineTest, BatchMixedValidityIsolatesFailuresPerRequest) {
   }
 }
 
+TEST_F(ServingEngineTest, OutOfRangeEdgeIdAfterTheFirstIsInvalidNotFatal) {
+  // Path validation used to test adjacency with the next id before range
+  // checking it: {e, NumEdges()} read past the graph's edge array and
+  // answered "not adjacent", and an id far out of range crashed the
+  // process. Every id is now range-checked first.
+  auto engine = OpenEngine(/*cache_bytes=*/0);
+  ASSERT_NE(engine, nullptr);
+  const Path good = PathBetween(0, 30);
+  const roadnet::EdgeId e = good[0];
+  for (const roadnet::EdgeId bad :
+       {static_cast<roadnet::EdgeId>(graph_->NumEdges()),
+        roadnet::EdgeId{0x7ffffff0}}) {
+    SCOPED_TRACE("bad id " + std::to_string(bad));
+    const EstimateRequest malformed =
+        WithDistribution(PathSpec::ExplicitPath(Path({e, bad})));
+    auto single = engine->Estimate(malformed);
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(single.status().message(), "unknown edge id in path");
+
+    std::vector<EstimateRequest> requests;
+    requests.push_back(WithDistribution(PathSpec::ExplicitPath(good)));
+    requests.push_back(malformed);
+    requests.push_back(WithDistribution(PathSpec::OdPair(5, 40)));
+    auto responses = engine->EstimateBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    EXPECT_EQ(responses[1].status().code(), StatusCode::kInvalidArgument);
+    for (size_t i : {size_t{0}, size_t{2}}) {
+      ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+      auto alone = engine->Estimate(requests[i]);
+      ASSERT_TRUE(alone.ok());
+      EXPECT_TRUE(responses[i].value().distribution->BitIdentical(
+          *alone.value().distribution))
+          << "request " << i;
+    }
+  }
+}
+
 TEST_F(ServingEngineTest, BatchMatchesSequentialAcrossWorkerCounts) {
   auto engine = OpenEngine(/*cache_bytes=*/0);
   ASSERT_NE(engine, nullptr);
@@ -315,7 +363,8 @@ TEST_F(ServingEngineTest, BatchResponsesEqualSingleEstimates) {
   // equal Estimate(request i) field for field, breakdown and cache flag
   // included. The batch runs on a 4-thread engine and the singles on a
   // twin 1-thread engine, each with its own cache, so both see the same
-  // miss-then-hit sequence across the two rounds.
+  // sequence across the three rounds: a refused miss, an admitted miss
+  // (the cache stores a result on its second offer), then a hit.
   auto open = [](size_t num_threads) {
     EngineOptions options;
     options.model_path = artifact_;
@@ -339,8 +388,9 @@ TEST_F(ServingEngineTest, BatchResponsesEqualSingleEstimates) {
     request.want_breakdown = true;
     requests.push_back(std::move(request));
   }
-  for (const bool warm : {false, true}) {
-    SCOPED_TRACE(warm ? "cache warm" : "cache cold");
+  for (const int round : {0, 1, 2}) {
+    const bool warm = round == 2;
+    SCOPED_TRACE("round " + std::to_string(round));
     auto batched = batch_engine->EstimateBatch(requests);
     ASSERT_EQ(batched.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
