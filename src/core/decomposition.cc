@@ -18,12 +18,8 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
   array.rows.resize(query.size());
 
   const TimeBinning binning = view_.binning();
-  // Per-rank overlap scratch; rows are at most as wide as the longest
-  // variable of their edge (HybridParams::max_instantiated_rank, 8 by
-  // default), so it lives on the stack unless a model is built wider.
-  constexpr size_t kInlineRanks = 16;
-  double inline_overlap[kInlineRanks];
-  std::vector<double> wide_overlap;
+  // Per-rank overlap scratch, reused by every row.
+  std::vector<double> best_overlap;
   // Eq. 3: UI_1 = [t, t]; UI_k = SAE(UI_{k-1}, V_{e_{k-1}}).
   Interval window(departure_time, departure_time);
   for (size_t k = 0; k < query.size(); ++k) {
@@ -39,13 +35,7 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
     size_t width = std::min(longest, query.size() - k);
     if (rank_cap > 0) width = std::min(width, rank_cap);
     row.by_rank.assign(std::max<size_t>(width, 1), nullptr);
-    double* best_overlap = inline_overlap;
-    if (width > kInlineRanks) {
-      wide_overlap.assign(width, 0.0);
-      best_overlap = wide_overlap.data();
-    } else {
-      std::fill(inline_overlap, inline_overlap + width, 0.0);
-    }
+    best_overlap.assign(width, 0.0);
 
     // Spatially relevant variables starting at this row's edge; keep, per
     // rank, the temporally most relevant one (largest overlap ratio).

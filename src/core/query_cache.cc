@@ -1,5 +1,6 @@
 #include "core/query_cache.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -45,10 +46,12 @@ QueryCache::QueryCache(QueryCacheOptions options) : options_(options) {
           evictions_.fetch_add(1, std::memory_order_relaxed);
         });
   }
-  size_t slots = 1;
-  while (slots < options_.max_bytes / kDoorkeeperBytesPerSlot) slots <<= 1;
-  doorkeeper_ = std::make_unique<std::atomic<uint64_t>[]>(slots);
-  doorkeeper_mask_ = slots - 1;
+  const size_t wanted_bits =
+      std::min(options_.max_bytes / kDoorkeeperBytesPerBit, kMaxDoorkeeperBits);
+  size_t bits = kMinDoorkeeperBits;
+  while (bits < wanted_bits) bits <<= 1;
+  doorkeeper_words_ = bits / 64;
+  doorkeeper_ = std::make_unique<std::atomic<uint64_t>[]>(doorkeeper_words_);
 }
 
 uint64_t QueryCache::Fingerprint(const ChainOptions& chain) {
@@ -121,15 +124,22 @@ bool QueryCache::Lookup(const Key& key, hist::Histogram1D* out) {
 void QueryCache::Insert(const Key& key, const hist::Histogram1D& result) {
   const size_t bytes = EntryBytes(key, result);
   if (bytes > per_shard_budget_) return;  // cannot fit even alone
-  // The doorkeeper: swap this key's tag into its slot, and go on only if
-  // the slot already held it (this key was the last one offered there).
-  // Relaxed suffices: a tag only gates admission, the entry itself is
+  // The doorkeeper: set this key's two bits, and go on only if both were
+  // set already (this key, or by chance others, offered since the table
+  // was last emptied). The word comes from bits 20 and up of the hash, the
+  // bit positions from its top 12 bits, the shard from its low bits.
+  // Relaxed suffices: a bit only gates admission, the entry itself is
   // published under the shard lock.
   const uint64_t hash = HashOf(key);
-  const uint64_t tag = hash | 1;  // 0 marks an empty slot
-  if (doorkeeper_[hash & doorkeeper_mask_].exchange(
-          tag, std::memory_order_relaxed) != tag) {
-    refused_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t bits =
+      (uint64_t{1} << (hash >> 58)) | (uint64_t{1} << ((hash >> 52) & 63));
+  std::atomic<uint64_t>& word =
+      doorkeeper_[(hash >> 20) & (doorkeeper_words_ - 1)];
+  if ((word.fetch_or(bits, std::memory_order_relaxed) & bits) != bits) {
+    // Exactly one offer reaches each multiple of the word count.
+    const uint64_t refused =
+        refused_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (refused % doorkeeper_words_ == 0) ClearDoorkeeper();
     return;
   }
   Shard& shard = ShardFor(hash);
@@ -166,7 +176,13 @@ void QueryCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->lru.Clear();
   }
-  for (size_t i = 0; i <= doorkeeper_mask_; ++i) {
+  ClearDoorkeeper();
+}
+
+void QueryCache::ClearDoorkeeper() {
+  // Offers racing with this may keep or lose their bits; either way a key
+  // is at worst refused once more.
+  for (size_t i = 0; i < doorkeeper_words_; ++i) {
     doorkeeper_[i].store(0, std::memory_order_relaxed);
   }
 }

@@ -17,12 +17,20 @@
 // Admission is frequency-aware (the doorkeeper of TinyLFU: Einziger,
 // Friedman and Manes, ACM TOS 2017): a result is stored on its key's second
 // offer, so a key asked once never displaces entries that are asked again.
-// The doorkeeper is a fixed, direct-mapped table of 64-bit key-hash tags,
-// one slot per kDoorkeeperBytesPerSlot of the byte budget; an offer swaps
-// its tag into the key's slot and is stored only if the same tag was
-// already there. A miss followed by an Insert is an offer, so the first
-// ask of a key misses, the second misses and stores, and the third hits.
-// Traffic that never repeats leaves the cache empty.
+// The doorkeeper is a fixed Bloom filter of one bit per
+// kDoorkeeperBytesPerBit of the byte budget, 64-bit words, and two bits of
+// one word per key. An offer ORs its key's bits into the table and is
+// stored only if both were already set. A miss followed by an Insert is an
+// offer, so the first ask of a key misses, the second misses and stores,
+// and the third hits. Nothing overwrites a key's bits, so keys asked in
+// turn are all stored on their second offers; a key whose two bits other
+// keys set is stored on its first (a false admit). Every refused offer
+// sets at most two bits, and the table is emptied after as many refusals
+// as it has words, so at most 1/32 of its bits are set and about one first
+// offer in 1,300 is falsely admitted (0.08% of 2M distinct keys, at 1, 8
+// and 64 MiB budgets). A key whose two offers straddle that reset is
+// refused once more. Traffic that never repeats leaves the cache nearly
+// empty.
 //
 // Shards are independent mutex-protected LRU lists, selected by key hash,
 // so concurrent EstimateBatch workers rarely contend; the byte budget is
@@ -61,8 +69,8 @@ struct QueryCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  /// Offers the doorkeeper turned away: the key's tag was not in its slot
-  /// (a first offer, or another key took the slot since the last one).
+  /// Offers the doorkeeper turned away: a bit of the key was not set (a
+  /// first offer, or the first since the doorkeeper was last emptied).
   uint64_t refused = 0;
   size_t entries = 0;
   size_t bytes = 0;
@@ -112,21 +120,30 @@ class QueryCache {
   bool Lookup(const Key& key, hist::Histogram1D* out);
 
   /// Offers the result for `key`. The doorkeeper admits it only on the
-  /// key's second offer in a row at its slot (see the header comment);
-  /// an admitted result is inserted (or refreshes recency when present),
-  /// then the owning shard is evicted down to its byte budget. Entries
-  /// larger than a whole shard's budget are never admitted.
+  /// key's second offer (see the header comment); an admitted result is
+  /// inserted (or refreshes recency when present), then the owning shard
+  /// is evicted down to its byte budget. Entries larger than a whole
+  /// shard's budget are never admitted.
   void Insert(const Key& key, const hist::Histogram1D& result);
 
   QueryCacheStats stats() const;
   /// Drops every entry and empties the doorkeeper.
   void Clear();
 
-  /// Byte budget per doorkeeper slot. A typical entry (a ~10-part key and
-  /// a few dozen buckets) takes 1-2 KiB, so the table tracks several times
-  /// as many keys as the budget holds; it costs 8 bytes per slot, 1/64 of
-  /// the budget.
-  static constexpr size_t kDoorkeeperBytesPerSlot = 512;
+  /// Number of doorkeeper bits: one per kDoorkeeperBytesPerBit of
+  /// max_bytes, rounded up to a power of two and kept within
+  /// [kMinDoorkeeperBits, kMaxDoorkeeperBits]. The table is emptied after
+  /// every doorkeeper_bits() / 64 refusals, so it remembers that many
+  /// first offers: one per 512 B of the budget, more keys than a budget
+  /// of typical 1-2 KiB entries holds.
+  size_t doorkeeper_bits() const { return 64 * doorkeeper_words_; }
+
+  /// One doorkeeper bit per 8 B of budget: the table costs 1/64 of it.
+  static constexpr size_t kDoorkeeperBytesPerBit = 8;
+  static constexpr size_t kMinDoorkeeperBits = size_t{1} << 15;  // 4 KiB
+  /// 1 MiB, reached at a 64 MiB budget; larger budgets, up to SIZE_MAX,
+  /// share it.
+  static constexpr size_t kMaxDoorkeeperBits = size_t{1} << 23;
 
  private:
   static uint64_t HashOf(const Key& k);
@@ -147,15 +164,15 @@ class QueryCache {
 
   static size_t EntryBytes(const Key& key, const hist::Histogram1D& result);
   Shard& ShardFor(uint64_t hash) { return *shards_[hash & shard_mask_]; }
+  void ClearDoorkeeper();
 
   QueryCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t per_shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Doorkeeper slots: the tag (key hash with bit 0 set) of the last key
-  /// offered at each slot, 0 when none was; a power-of-two count.
+  /// Doorkeeper bits, 64 to a word; a power-of-two count of words.
   std::unique_ptr<std::atomic<uint64_t>[]> doorkeeper_;
-  size_t doorkeeper_mask_ = 0;
+  size_t doorkeeper_words_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};

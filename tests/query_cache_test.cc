@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -142,24 +143,90 @@ TEST(QueryCacheTest, DoorkeeperAdmitsOnTheSecondOffer) {
   EXPECT_EQ(cache.stats().refused, 2u);
 }
 
-TEST(QueryCacheTest, DoorkeeperRefusesAKeyWhoseSlotWasOverwritten) {
-  // A one-slot doorkeeper: every key shares the slot.
+TEST(QueryCacheTest, DoorkeeperAdmitsKeysOfferedInTurn) {
+  // A round-robin working set as large as an 8 MiB cache holds, asked pass
+  // by pass as the engine asks: a lookup, and an offer on a miss. No key's
+  // bits are overwritten by another's, so every key is stored by its
+  // second offer and the third pass hits throughout.
+  constexpr uint64_t kKeys = 5000;
+  QueryCacheOptions options;
+  options.max_bytes = size_t{8} << 20;
+  QueryCache cache(options);
+  ASSERT_GE(cache.doorkeeper_bits() / 64, kKeys);  // no reset mid-test
+  Histogram1D out;
+  auto pass = [&] {
+    uint64_t hits = 0;
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      if (cache.Lookup(KeyOf(k), &out)) {
+        ++hits;
+        EXPECT_TRUE(out.BitIdentical(TwoBucketHistogram(static_cast<double>(k))));
+      } else {
+        cache.Insert(KeyOf(k), TwoBucketHistogram(static_cast<double>(k)));
+      }
+    }
+    return hits;
+  };
+  EXPECT_EQ(pass(), 0u);
+  // A first offer is stored only if other keys set both its bits.
+  const uint64_t false_admits = cache.stats().insertions;
+  EXPECT_EQ(cache.stats().refused, kKeys - false_admits);
+  EXPECT_LE(false_admits, kKeys / 100);
+  EXPECT_EQ(pass(), false_admits);
+  EXPECT_EQ(cache.stats().entries, kKeys);
+  EXPECT_EQ(pass(), kKeys);
+  const QueryCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, kKeys);
+  EXPECT_EQ(stats.refused, kKeys - false_admits);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(QueryCacheTest, DoorkeeperForgetsAfterAWindowOfRefusals) {
+  // The smallest table: 512 words, emptied after every 512th refusal.
   QueryCacheOptions options;
   options.num_shards = 1;
-  options.max_bytes = QueryCache::kDoorkeeperBytesPerSlot;
+  options.max_bytes = size_t{64} << 10;
   QueryCache cache(options);
-  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));
-  cache.Insert(KeyOf(2), TwoBucketHistogram(2.0));  // takes 1's slot
-  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));  // refused again
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().refused, 3u);
-  Histogram1D out;
-  EXPECT_FALSE(cache.Lookup(KeyOf(1), &out));
+  ASSERT_EQ(cache.doorkeeper_bits(), QueryCache::kMinDoorkeeperBits);
+  const uint64_t window = cache.doorkeeper_bits() / 64;
 
-  cache.Insert(KeyOf(1), TwoBucketHistogram(1.0));  // back to back: stored
+  cache.Insert(KeyOf(0), TwoBucketHistogram(0.0));  // refusal 1
+  uint64_t k = 1;
+  while (cache.stats().refused < window) {
+    cache.Insert(KeyOf(k), TwoBucketHistogram(static_cast<double>(k)));
+    ++k;
+  }
+  // The window-th refusal emptied the table, so key 0's second offer is a
+  // first offer again, and its third is stored.
+  cache.Insert(KeyOf(0), TwoBucketHistogram(0.0));
+  EXPECT_EQ(cache.stats().refused, window + 1);
+  Histogram1D out;
+  EXPECT_FALSE(cache.Lookup(KeyOf(0), &out));
+  cache.Insert(KeyOf(0), TwoBucketHistogram(0.0));
+  ASSERT_TRUE(cache.Lookup(KeyOf(0), &out));
+  EXPECT_TRUE(out.BitIdentical(TwoBucketHistogram(0.0)));
+}
+
+TEST(QueryCacheTest, DoorkeeperSizeFollowsTheBudgetWithinFixedBounds) {
+  auto bits_for = [](size_t max_bytes) {
+    QueryCacheOptions options;
+    options.max_bytes = max_bytes;
+    return QueryCache(options).doorkeeper_bits();
+  };
+  EXPECT_EQ(bits_for(0), QueryCache::kMinDoorkeeperBits);
+  EXPECT_EQ(bits_for(size_t{8} << 20), size_t{1} << 20);  // 128 KiB
+  EXPECT_EQ(bits_for((size_t{8} << 20) + QueryCache::kDoorkeeperBytesPerBit),
+            size_t{1} << 21);
+  EXPECT_EQ(QueryCache().doorkeeper_bits(), QueryCache::kMaxDoorkeeperBits);
+  // A budget meaning "unbounded" gets the largest table, not an
+  // allocation of 1/64 of SIZE_MAX, and still admits on the second offer.
+  QueryCacheOptions unbounded;
+  unbounded.max_bytes = SIZE_MAX;
+  QueryCache cache(unbounded);
+  EXPECT_EQ(cache.doorkeeper_bits(), QueryCache::kMaxDoorkeeperBits);
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
+  EXPECT_EQ(cache.stats().entries, 0u);
+  cache.Insert(KeyOf(1), TwoBucketHistogram(0.0));
   EXPECT_EQ(cache.stats().entries, 1u);
-  ASSERT_TRUE(cache.Lookup(KeyOf(1), &out));
-  EXPECT_TRUE(out.BitIdentical(TwoBucketHistogram(1.0)));
 }
 
 TEST(QueryCacheTest, ConcurrentOffersInsertEachKeyAtMostOnce) {
@@ -169,6 +236,8 @@ TEST(QueryCacheTest, ConcurrentOffersInsertEachKeyAtMostOnce) {
   constexpr uint64_t kKeys = 1000;
   constexpr int kThreads = 4;
   QueryCache cache;
+  // At most kThreads refusals per key, far from a doorkeeper reset.
+  ASSERT_GT(cache.doorkeeper_bits() / 64, kThreads * kKeys);
   std::atomic<uint64_t> wrong_hits{0};
   std::atomic<uint64_t> hits{0};
   std::vector<std::thread> threads;
@@ -196,12 +265,11 @@ TEST(QueryCacheTest, ConcurrentOffersInsertEachKeyAtMostOnce) {
   EXPECT_EQ(stats.evictions, 0u);
   // A key stored twice would count two insertions for one entry.
   EXPECT_EQ(stats.insertions, stats.entries);
-  EXPECT_LE(stats.entries, kKeys);
-  // Only keys whose doorkeeper slot another key shares can stay out.
-  EXPECT_GE(stats.entries, kKeys * 9 / 10);
-  // Every stored key was stored by an offer that preceded its thread's
-  // lookups, and nothing is evicted, so each entry hits at least once.
-  EXPECT_GE(hits.load(), stats.entries);
+  // A thread's first offer of a key sets its bits for good, so its
+  // second is admitted: every key is stored before that thread's lookups,
+  // and every lookup hits.
+  EXPECT_EQ(stats.entries, kKeys);
+  EXPECT_EQ(hits.load(), kThreads * kKeys);
 }
 
 /// A frozen one-variable model; `lo` sets its content, so models built with

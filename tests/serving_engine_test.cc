@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -184,6 +185,23 @@ TEST_F(ServingEngineTest, CachedEngineIsBitIdenticalAndRecordsProvenance) {
       *plain.value().distribution));
   EXPECT_TRUE(
       warm.value().summary.ExactlyEquals(plain.value().summary));
+}
+
+TEST_F(ServingEngineTest, UnboundedCacheBudgetOpensAndCaches) {
+  // SIZE_MAX as "no byte limit" opens (the doorkeeper table has a fixed
+  // ceiling) and caches as any budget does.
+  auto cached = OpenEngine(/*cache_bytes=*/SIZE_MAX);
+  ASSERT_NE(cached, nullptr);
+  ASSERT_NE(cached->query_cache(), nullptr);
+  EXPECT_EQ(cached->query_cache()->doorkeeper_bits(),
+            core::QueryCache::kMaxDoorkeeperBits);
+  const EstimateRequest request =
+      WithDistribution(PathSpec::ExplicitPath(PathBetween(0, 30)));
+  for (const bool hit : {false, false, true}) {
+    auto response = cached->Estimate(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().served_from_cache, hit);
+  }
 }
 
 TEST_F(ServingEngineTest, AdoptedModelAndMmapLoadServeIdentically) {
