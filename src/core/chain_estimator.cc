@@ -5,21 +5,17 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <map>
 
 #include "common/mathutil.h"
 #include "common/simd.h"
-#include "hist/cut_binning.h"
 #include "hist/histogram_nd.h"
-
 
 namespace pcde {
 namespace core {
 
 using hist::Histogram1D;
 using hist::HistogramND;
-using hist::WeightedInterval;
 
 namespace {
 
@@ -97,157 +93,29 @@ double ChainSweeper::GroupMass(const Group& g) {
   return m;
 }
 
-// The hist:: bucket-machinery tolerances, mirrored here because CompactSums
-// reproduces the FlattenToDisjoint -> Make -> Compact -> Make pipeline
-// arithmetic step for step (same passes, same order) on thread-local
-// scratch, so the progressive compaction allocates nothing in steady state.
-constexpr double kFlattenMinWidth = 1e-12;  // hist kMinWidth
-constexpr double kMassTolerance = 1e-6;     // hist kMassTolerance
-
 void ChainSweeper::CompactSums(SumsSoA* sums, size_t cap) {
   const size_t n = sums->size();
   if (n <= cap) return;
-  const double* const probs = sums->prob.data();
   double mass = 0.0;
-  for (size_t i = 0; i < n; ++i) mass += probs[i];
+  for (double p : sums->prob) mass += p;
   if (mass <= 0.0) {
     sums->clear();
     return;
   }
-  Scratch& sc = LocalScratch();
-
-  // Flatten, lane-wise over the SoA state: inflate degenerate intervals
-  // (Interval::Inflated's epsilon), take widths and densities as straight
-  // SIMD kernels, and reject any input the hist pipeline would reject
-  // (stays uncompacted, as before). The rejected-entry scan reproduces the
-  // original early returns: no state is modified before the first check
-  // fails, so checking all entries up front is equivalent.
-  sc.cs_ilo.resize(n);
-  sc.cs_ihi.resize(n);
-  sc.cs_width.resize(n);
-  sc.cs_dens.resize(n);
+  // Inflate degenerate sums as Finalize does, then flatten and compact them
+  // with the hist kernel.
+  hist::FlattenScratch& fs = LocalScratch().flatten;
+  fs.lo.resize(n);
+  fs.hi.resize(n);
   simd::InflateTo(sums->lo.data(), sums->hi.data(), n,
-                  Interval::kDefaultInflateEps, sc.cs_ilo.data(),
-                  sc.cs_ihi.data());
-  simd::SubTo(sc.cs_ihi.data(), sc.cs_ilo.data(), n, sc.cs_width.data());
-  for (size_t i = 0; i < n; ++i) {
-    if (probs[i] < 0.0) return;
-    if (sc.cs_width[i] < kFlattenMinWidth && probs[i] > 0.0) return;
-  }
-  // The pipeline's input mass (summed in the same entry order as `mass`,
-  // so the two are bitwise equal — kept under one name).
-  const double total_mass = mass;
-  simd::DivTo(probs, sc.cs_width.data(), n, sc.cs_dens.data());
-
-  // Breakpoints: both lanes back to back (pre-sort order is irrelevant,
-  // and origin o < n is entry o's lower bound, origin n + o its upper),
-  // ordered by the sort-free monotone bucket grid shared with
-  // hist::FlattenToDisjoint. The tracked origins let the dedup pass below
-  // also record every entry's flatten slice directly.
-  std::vector<double>& cuts = sc.cs_cuts;
-  cuts.resize(2 * n);
-  std::copy(sc.cs_ilo.begin(), sc.cs_ilo.end(), cuts.begin());
-  std::copy(sc.cs_ihi.begin(), sc.cs_ihi.end(),
-            cuts.begin() + static_cast<ptrdiff_t>(n));
-  hist::SortCutsMonotoneTracked(&cuts, &sc.cs_cut_order, &sc.cs_cut_bins);
-
-  // Fused std::unique-with-tolerance + origin -> cut-index map: walking the
-  // sorted cuts, each value either starts a new kept cut or joins the run
-  // of the previously kept one — exactly std::unique's predicate order.
-  sc.cs_slice_of.resize(2 * n);
-  size_t n_cuts = 0;
-  for (size_t j = 0; j < 2 * n; ++j) {
-    const double v = cuts[j];
-    if (n_cuts == 0 || !(std::fabs(v - cuts[n_cuts - 1]) < kFlattenMinWidth)) {
-      cuts[n_cuts++] = v;
-    }
-    sc.cs_slice_of[sc.cs_cut_order[j]] = static_cast<uint32_t>(n_cuts - 1);
-  }
-  cuts.resize(n_cuts);
-
-  // Per-slice density by difference array; the cover counter keeps
-  // uncovered slices at exactly zero (no cancellation residue). The slice
-  // of each bound comes from the dedup map above; the representative cut
-  // of a tolerance run can differ from lower_bound(bound - tolerance) only
-  // when another cut lands exactly on that offset, so the map is verified
-  // with two comparisons and falls back to the binary search on the
-  // (measure-zero) mismatch — byte-identical slices, no search in the
-  // common path.
-  const size_t n_slices = cuts.size() - 1;
-  sc.cs_diff.assign(n_slices + 1, 0.0);
-  sc.cs_cover.assign(n_slices + 1, 0);
-  auto slice_for = [&cuts](size_t hint, double key) {
-    if (cuts[hint] >= key && (hint == 0 || cuts[hint - 1] < key)) return hint;
-    return static_cast<size_t>(
-        std::lower_bound(cuts.begin(), cuts.end(), key) - cuts.begin());
-  };
-  for (size_t i = 0; i < n; ++i) {
-    if (probs[i] <= 0.0) continue;
-    const double d = sc.cs_dens[i];
-    const size_t s =
-        slice_for(sc.cs_slice_of[i], sc.cs_ilo[i] - kFlattenMinWidth);
-    const size_t s_end = std::min(
-        n_slices,
-        slice_for(sc.cs_slice_of[n + i], sc.cs_ihi[i] - kFlattenMinWidth));
-    if (s >= s_end) continue;
-    sc.cs_diff[s] += d;
-    sc.cs_diff[s_end] -= d;
-    ++sc.cs_cover[s];
-    --sc.cs_cover[s_end];
-  }
-
-  // Emit positive-mass slices, merging equal-density neighbours.
-  sc.cs_flat.clear();
-  double running = 0.0;
-  int32_t covering = 0;
-  for (size_t s = 0; s < n_slices; ++s) {
-    covering += sc.cs_cover[s];
-    running += sc.cs_diff[s];
-    if (covering == 0) running = 0.0;
-    const double width = cuts[s + 1] - cuts[s];
-    const double slice_mass = running * width;
-    if (slice_mass <= 0.0) continue;
-    const bool contiguous =
-        !sc.cs_flat.empty() &&
-        std::fabs(sc.cs_flat.back().range.hi - cuts[s]) < kFlattenMinWidth;
-    if (contiguous) {
-      hist::Bucket& prev = sc.cs_flat.back();
-      const double prev_density = prev.prob / prev.range.width();
-      if (std::fabs(prev_density - running) <=
-          1e-9 * std::max(prev_density, running)) {
-        prev.range.hi = cuts[s + 1];
-        prev.prob += slice_mass;
-        continue;
-      }
-    }
-    sc.cs_flat.emplace_back(cuts[s], cuts[s + 1], slice_mass);
-  }
-
-  // The pipeline's two normalization passes: flatten divides by the input
-  // mass, then histogram construction renormalizes the float drift away.
-  for (hist::Bucket& f : sc.cs_flat) f.prob /= total_mass;
-  double flat_total = 0.0;
-  for (const hist::Bucket& f : sc.cs_flat) flat_total += f.prob;
-  if (std::fabs(flat_total - 1.0) > kMassTolerance) return;
-  for (hist::Bucket& f : sc.cs_flat) f.prob /= flat_total;
-
-  // Compact to the cap: the shared greedy merge (hist/greedy_merge.h) —
-  // hist::Compact's exact merge sequence, blocked argmin at this path's
-  // typical sizes and a lazy pair heap beyond the dispatch threshold, on
-  // thread-local scratch so nothing allocates in steady state.
-  if (sc.cs_flat.size() > cap && cap > 0) {
-    hist::GreedyMergeToCap(&sc.cs_flat, cap, &sc.cs_merge);
-    // Post-merge renormalization (hist::Compact's final construction).
-    double merged_total = 0.0;
-    for (const hist::Bucket& f : sc.cs_flat) merged_total += f.prob;
-    if (merged_total > 0.0) {
-      for (hist::Bucket& f : sc.cs_flat) f.prob /= merged_total;
-    }
-  }
-
+                  Interval::kDefaultInflateEps, fs.lo.data(), fs.hi.data());
+  const Status flat = hist::FlattenAndCompact(
+      fs.lo.data(), fs.hi.data(), sums->prob.data(), n, cap, &fs);
+  if (!flat.ok()) return;  // a rejected sum set stays uncompacted
+  // The kernel normalizes to 1; the sums keep their mass.
   sums->clear();
-  for (const hist::Bucket& f : sc.cs_flat) {
-    sums->PushBack(f.range, f.prob * mass);
+  for (const hist::Bucket& b : fs.buckets) {
+    sums->PushBack(b.range, b.prob * mass);
   }
 }
 
@@ -619,26 +487,6 @@ void ChainSweeper::ApplyPart(const DecompositionPart& part,
   MaybeCompactPool();
 }
 
-double ChainSweeper::MassRemaining() const {
-  double m = 0.0;
-  for (const Group& g : groups_) m += GroupMass(g);
-  return m;
-}
-
-double ChainSweeper::MinSum() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Group& g : groups_) {
-    double open_min = 0.0;
-    for (uint32_t j = 0; j < g.key.n; ++j) open_min += pool_.Get(g.key.ids[j]).lo;
-    for (size_t i = 0; i < g.sums.size(); ++i) {
-      if (g.sums.prob[i] > 0.0) {
-        best = std::min(best, g.sums.lo[i] + open_min);
-      }
-    }
-  }
-  return best;
-}
-
 double ChainSweeper::CdfUpperBoundAt(double x) const {
   double below = 0.0;
   double total = 0.0;
@@ -684,7 +532,10 @@ double ChainSweeper::AppendSupportPoints(
 }
 
 StatusOr<Histogram1D> ChainSweeper::Finalize() const {
-  std::vector<WeightedInterval> parts_out;
+  hist::FlattenScratch& fs = LocalScratch().flatten;
+  fs.lo.clear();
+  fs.hi.clear();
+  fs.prob.clear();
   double total = 0.0;
   for (const Group& g : groups_) {
     Interval open_shift(0.0, 0.0);
@@ -694,16 +545,21 @@ StatusOr<Histogram1D> ChainSweeper::Finalize() const {
     for (size_t i = 0; i < g.sums.size(); ++i) {
       const double p = g.sums.prob[i];
       if (p <= 0.0) continue;
-      parts_out.emplace_back((g.sums.interval(i) + open_shift).Inflated(), p);
+      const Interval closed = (g.sums.interval(i) + open_shift).Inflated();
+      fs.lo.push_back(closed.lo);
+      fs.hi.push_back(closed.hi);
+      fs.prob.push_back(p);
       total += p;
     }
   }
-  if (total < options_.min_total_mass) {
+  if (total < kMinTotalMass) {
     return Status::FailedPrecondition(
         "ChainSweeper: probability mass destroyed by separator mismatch");
   }
-  PCDE_ASSIGN_OR_RETURN(flat, hist::FlattenToDisjoint(std::move(parts_out)));
-  return hist::Compact(flat, options_.max_result_buckets);
+  PCDE_RETURN_NOT_OK(hist::FlattenAndCompact(
+      fs.lo.data(), fs.hi.data(), fs.prob.data(), fs.prob.size(),
+      options_.max_result_buckets, &fs));
+  return Histogram1D::FromFlattened(fs);
 }
 
 StatusOr<Histogram1D> EstimateFromDecomposition(const Decomposition& de,

@@ -24,20 +24,16 @@
 // normalizes -0.0 to 0.0, so signed zeros cannot split a group), the
 // per-part separator marginal is a dense array indexed by flattened
 // hyper-bucket separator id, and all per-transition temporaries live in
-// warm thread-local scratch buffers (including the progressive compaction,
-// which runs the hist:: flatten+compact pipeline allocation-free, ending
-// in the shared size-dispatched greedy merge of hist/greedy_merge.h —
-// blocked argmin small, lazy pair heap large, identical sequences).
-// Because a part's open suffix is a contiguous position range,
-// position→slot lookup is arithmetic.
+// warm thread-local scratch buffers. Because a part's open suffix is a
+// contiguous position range, position→slot lookup is arithmetic.
 //
 // A group's accumulated sums are stored structure-of-arrays (lo/hi/prob
-// lanes, SumsSoA): the transition convolution and the flatten's density
-// preparation run as contiguous SIMD kernels (common/simd.h — AVX2/NEON
-// with a bit-identical scalar fallback), and the progressive compaction's
-// cut ordering uses the sort-free monotone bucket grid shared with
-// hist::FlattenToDisjoint (hist/cut_binning.h) instead of a comparison
-// sort. SoA buffers are recycled through the per-thread scratch arena.
+// lanes, SumsSoA), so the transition convolution runs as a contiguous SIMD
+// kernel (common/simd.h — AVX2/NEON with a bit-identical scalar fallback).
+// The progressive compaction and Finalize hand their lanes to the hist
+// flatten kernel (hist/flatten.h) on the thread-local scratch, so neither
+// allocates in steady state. SoA buffers are recycled through the
+// per-thread scratch arena.
 #pragma once
 
 #include <array>
@@ -50,12 +46,16 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "core/decomposition.h"
-#include "hist/cut_binning.h"
-#include "hist/greedy_merge.h"
+#include "hist/flatten.h"
 #include "hist/histogram1d.h"
 
 namespace pcde {
 namespace core {
+
+/// If the surviving probability mass falls below this (adjacent
+/// histograms with disjoint separator supports), Finalize fails and the
+/// caller retries under part independence.
+inline constexpr double kMinTotalMass = 1e-9;
 
 struct ChainOptions {
   size_t max_result_buckets = 64;
@@ -67,10 +67,6 @@ struct ChainOptions {
   /// into the running sums), trading a little tail dependence for bounded
   /// per-step work.
   size_t max_groups = 48;
-  /// If the surviving probability mass falls below this (adjacent
-  /// histograms with disjoint separator supports), the caller should retry
-  /// under part independence.
-  double min_total_mass = 1e-9;
   /// Ignore separators: every part treated as independent (the fallback
   /// mode, and the natural semantics of the LB unit chain).
   bool force_independence = false;
@@ -105,20 +101,13 @@ class ChainSweeper {
   /// this part at or beyond it stay open for conditioning.
   void ApplyPart(const DecompositionPart& part, size_t next_overlap_start);
 
-  /// Probability mass still alive (1 minus what box mismatches destroyed).
-  double MassRemaining() const;
-
   /// Peak state count observed so far.
   size_t max_states() const { return max_states_; }
 
   /// Closes all open dimensions and produces the cost distribution.
   /// Returns FailedPrecondition when the remaining mass is below
-  /// options.min_total_mass (caller retries with force_independence).
+  /// kMinTotalMass (caller retries with force_independence).
   StatusOr<hist::Histogram1D> Finalize() const;
-
-  /// Smallest possible accumulated cost over surviving states (a support
-  /// lower bound used by routing pruning).
-  double MinSum() const;
 
   /// Mass fraction of surviving states whose smallest possible accumulated
   /// cost is <= x — an upper bound on the final CDF at x while the sweep
@@ -225,11 +214,12 @@ class ChainSweeper {
     std::unordered_map<Bits, BoxId, BitsHash> index_;
   };
 
-  /// Per-thread scratch for ApplyPart: rebuilt from scratch per part, so
-  /// one warm instance per thread serves every sweeper on it (routing
-  /// copies sweepers per explored prefix; per-sweeper scratch would start
-  /// cold each time and pay the allocations again). Sweepers on different
-  /// threads get independent instances, keeping batch fan-outs lock-free.
+  /// Per-thread scratch for ApplyPart, CompactSums and Finalize: rebuilt
+  /// per part, so one warm instance per thread serves every sweeper on it
+  /// (routing copies sweepers per explored prefix; per-sweeper scratch
+  /// would start cold each time and pay the allocations again). Sweepers
+  /// on different threads get independent instances, keeping batch
+  /// fan-outs lock-free.
   struct Scratch {
     std::vector<uint32_t> live;         // indices of positive-mass buckets
     std::vector<double> cond_w;         // per live bucket: prob / sep marginal
@@ -257,23 +247,17 @@ class ChainSweeper {
     /// pathological query must not pin its peak footprint forever).
     std::vector<SumsSoA> sums_pool;
     size_t sums_pool_entries = 0;  // summed capacity of pooled buffers
-    // Fused flatten+compact (CompactSums) buffers.
-    std::vector<double> cs_ilo;    // inflated interval lanes
-    std::vector<double> cs_ihi;
-    std::vector<double> cs_width;  // inflated widths
-    std::vector<double> cs_dens;   // per-entry densities prob / width
-    std::vector<double> cs_cuts;
-    hist::CutBinningScratch cs_cut_bins;  // sort-free cut ordering
-    std::vector<uint32_t> cs_cut_order;   // sorted-cut origin positions
-    std::vector<uint32_t> cs_slice_of;    // per-bound deduped cut index
-    std::vector<double> cs_diff;
-    std::vector<int32_t> cs_cover;
-    std::vector<hist::Bucket> cs_flat;    // flattened slices (AoS staging)
-    hist::GreedyMergeScratch cs_merge;    // lazy pair-heap merge storage
+    /// The flatten kernel's storage; its staging lanes carry CompactSums'
+    /// inflated bounds and Finalize's closed sums.
+    hist::FlattenScratch flatten;
   };
 
   static Scratch& LocalScratch();
   static double GroupMass(const Group& g);
+  /// Progressive compaction: once `sums` holds more than `cap` entries,
+  /// flattens and compacts it to at most `cap` with the hist kernel
+  /// (hist/flatten.h), keeping its mass. Empties it when that mass is not
+  /// positive.
   void CompactSums(SumsSoA* sums, size_t cap);
   /// Folds a group's open boxes into its sums (the interval Minkowski
   /// shift), leaving it unconditioned.

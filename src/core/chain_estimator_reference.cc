@@ -381,7 +381,7 @@ StatusOr<Histogram1D> ReferenceChainSweeper::Finalize() const {
       total += se.prob;
     }
   }
-  if (total < options_.min_total_mass) {
+  if (total < kMinTotalMass) {
     return Status::FailedPrecondition(
         "ReferenceChainSweeper: probability mass destroyed by separator "
         "mismatch");

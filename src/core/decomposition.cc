@@ -42,23 +42,7 @@ StatusOr<CandidateArray> DecompositionBuilder::BuildCandidateArray(
     for (const InstantiatedVariable* v : candidates) {
       const size_t r = v->rank();
       if (r == 0 || r > width) continue;
-      // Spatial relevance: the variable's path must be the query slice.
-      bool spatial = true;
-      for (size_t d = 0; d < r; ++d) {
-        if (v->path[d] != query[k + d]) {
-          spatial = false;
-          break;
-        }
-      }
-      if (!spatial) continue;
-      double overlap;
-      if (v->interval == kAllDayInterval) {
-        overlap = 1e-12;  // fallback: relevant, but any data variable wins
-      } else {
-        const Interval ij = binning.IntervalOf(v->interval);
-        overlap = window.width() > 0.0 ? window.OverlapRatioOf(ij)
-                                       : (ij.Contains(window.lo) ? 1.0 : 0.0);
-      }
+      const double overlap = Relevance(*v, query, k, window, binning);
       if (overlap > best_overlap[r - 1]) {
         best_overlap[r - 1] = overlap;
         row.by_rank[r - 1] = v;

@@ -55,6 +55,26 @@ struct DecompositionPart {
 /// A decomposition DE = (P1, ..., Pk) in left-to-right order.
 using Decomposition = std::vector<DecompositionPart>;
 
+/// \brief Relevance of `v` to the query slice starting at `start`, whose
+/// departure window is `window` (Sec. 4.1.3). 0 unless v's path is
+/// query.Slice(start, v.rank()) (spatial relevance). Otherwise its temporal
+/// relevance: 1e-12 for an all-day fallback variable, so any overlapping
+/// data variable outranks it; else the overlap ratio of `window` with v's
+/// interval, or, for a point window, 1 if that interval contains it and 0
+/// if not. Requires start + v.rank() <= query.size(). Inline: OI and every
+/// routing extension call it once per candidate variable.
+inline double Relevance(const InstantiatedVariable& v,
+                        const roadnet::Path& query, size_t start,
+                        const Interval& window, const TimeBinning& binning) {
+  for (size_t d = 0; d < v.rank(); ++d) {
+    if (v.path[d] != query[start + d]) return 0.0;
+  }
+  if (v.interval == kAllDayInterval) return 1e-12;
+  const Interval ij = binning.IntervalOf(v.interval);
+  return window.width() > 0.0 ? window.OverlapRatioOf(ij)
+                              : (ij.Contains(window.lo) ? 1.0 : 0.0);
+}
+
 /// \brief Builds candidate arrays and decompositions against a weight
 /// function (one frozen model or a manifest's shards).
 class DecompositionBuilder {

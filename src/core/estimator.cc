@@ -55,7 +55,6 @@ StatusOr<Histogram1D> HybridEstimator::EstimateCostDistribution(
   QueryCache::Key key;
   if (cache_ != nullptr) {
     key = QueryCache::MakeKey(de, departure_time,
-                              cache_->options().time_bucket_seconds,
                               QueryCache::Fingerprint(chain), view_);
     Histogram1D cached;
     if (cache_->Lookup(key, &cached)) {
@@ -292,22 +291,7 @@ Status IncrementalEstimator::ExtendByEdge(roadnet::EdgeId e) {
     const Interval& win = windows_[std::min(start, windows_.size() - 1)];
     for (const InstantiatedVariable* v : view_.StartingAt(extended[start])) {
       if (v->rank() != r) continue;
-      bool spatial = true;
-      for (size_t d = 0; d < r; ++d) {
-        if (v->path[d] != extended[start + d]) {
-          spatial = false;
-          break;
-        }
-      }
-      if (!spatial) continue;
-      double overlap;
-      if (v->interval == kAllDayInterval) {
-        overlap = 1e-12;
-      } else {
-        const Interval ij = binning.IntervalOf(v->interval);
-        overlap = win.width() > 0.0 ? win.OverlapRatioOf(ij)
-                                    : (ij.Contains(win.lo) ? 1.0 : 0.0);
-      }
+      const double overlap = Relevance(*v, extended, start, win, binning);
       if (overlap > best_overlap) {
         best_overlap = overlap;
         best = v;

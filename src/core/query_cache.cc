@@ -16,9 +16,8 @@ namespace {
 constexpr size_t kEntryOverheadBytes = 160;
 
 /// MakeKey's departure-time bucket index, before the cast to int64_t.
-double DepartureBucket(double departure_time, double time_bucket_seconds) {
-  const double width = time_bucket_seconds > 0.0 ? time_bucket_seconds : 1.0;
-  return std::floor(departure_time / width);
+double DepartureBucket(double departure_time) {
+  return std::floor(departure_time / QueryCache::kTimeBucketSeconds);
 }
 
 }  // namespace
@@ -59,14 +58,12 @@ uint64_t QueryCache::Fingerprint(const ChainOptions& chain) {
   h = Mix64(h ^ chain.max_result_buckets);
   h = Mix64(h ^ chain.sums_per_box_cap);
   h = Mix64(h ^ chain.max_groups);
-  h = Mix64(h ^ CanonicalDoubleBits(chain.min_total_mass));
   h = Mix64(h ^ static_cast<uint64_t>(chain.force_independence));
   return h;
 }
 
 QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
                                     double departure_time,
-                                    double time_bucket_seconds,
                                     uint64_t options_fingerprint,
                                     const ModelView& view) {
   Key key;
@@ -79,7 +76,7 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
   // moves through the day, and stays correct if estimation ever becomes
   // time-dependent beyond decomposition choice.
   key.push_back(static_cast<uint64_t>(static_cast<int64_t>(
-      DepartureBucket(departure_time, time_bucket_seconds))));
+      DepartureBucket(departure_time))));
   for (const DecompositionPart& part : de) {
     // Frozen variable ids, not addresses: stable across save/load, so the
     // same decomposition keys the same entry in every process serving this
@@ -90,11 +87,10 @@ QueryCache::Key QueryCache::MakeKey(const Decomposition& de,
   return key;
 }
 
-bool QueryCache::CanKeyDeparture(double departure_time,
-                                 double time_bucket_seconds) {
+bool QueryCache::CanKeyDeparture(double departure_time) {
   // 2^63 is exact in a double; NaN fails both comparisons.
   constexpr double kInt64Bound = 9223372036854775808.0;
-  const double bucket = DepartureBucket(departure_time, time_bucket_seconds);
+  const double bucket = DepartureBucket(departure_time);
   return bucket >= -kInt64Bound && bucket < kInt64Bound;
 }
 

@@ -59,9 +59,6 @@ struct QueryCacheOptions {
   size_t num_shards = 8;
   /// Total byte budget across all shards (keys + histograms + overhead).
   size_t max_bytes = size_t{64} << 20;
-  /// Width of the departure-time bucket folded into the key. Queries in the
-  /// same bucket that select the same decomposition share an entry.
-  double time_bucket_seconds = 300.0;
 };
 
 struct QueryCacheStats {
@@ -103,18 +100,20 @@ class QueryCache {
 
   const QueryCacheOptions& options() const { return options_; }
 
+  /// Width of the departure-time bucket folded into the key. Queries in the
+  /// same bucket that select the same decomposition share an entry.
+  static constexpr double kTimeBucketSeconds = 300.0;
+
   /// Mixes every chain option that influences EstimateFromDecomposition.
   static uint64_t Fingerprint(const ChainOptions& chain);
 
   static Key MakeKey(const Decomposition& de, double departure_time,
-                     double time_bucket_seconds, uint64_t options_fingerprint,
-                     const ModelView& view);
+                     uint64_t options_fingerprint, const ModelView& view);
 
   /// True when MakeKey can bucket `departure_time`: it is finite and
-  /// floor(departure_time / bucket width) fits int64_t. MakeKey's cast is
-  /// undefined behaviour for any other departure time.
-  static bool CanKeyDeparture(double departure_time,
-                              double time_bucket_seconds);
+  /// floor(departure_time / kTimeBucketSeconds) fits int64_t. MakeKey's
+  /// cast is undefined behaviour for any other departure time.
+  static bool CanKeyDeparture(double departure_time);
 
   /// True and fills *out (a copy of the cached histogram) on a hit.
   bool Lookup(const Key& key, hist::Histogram1D* out);

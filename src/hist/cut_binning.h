@@ -1,7 +1,6 @@
-// Sort-free ordering of flatten cut points, shared by the hist:: bucket
-// machinery (FlattenToDisjoint, the divergence union refinements) and the
-// chain sweeper's progressive compaction so the two pipelines stay
-// arithmetically identical.
+// Sort-free ordering of flatten cut points: the sort step of the hist
+// flatten kernel (hist/flatten.h), which also orders the divergence union
+// refinements.
 //
 // Cut positions are arithmetic on a contiguous open range, so instead of a
 // comparison sort they are scattered into a monotone bucket grid spanning
@@ -25,15 +24,13 @@
 namespace pcde {
 namespace hist {
 
-/// Reusable buffers for SortCutsMonotone; hold one per thread (the chain
-/// sweeper keeps one in its thread-local scratch) so steady-state sorting
-/// allocates nothing.
+/// Reusable buffers for SortCutsMonotone; held in the flatten kernel's
+/// scratch, so steady-state sorting allocates nothing.
 struct CutBinningScratch {
   std::vector<uint32_t> counts;   // per-grid-bucket occupancy, then offsets
   std::vector<double> scattered;  // grid-ordered copy of the input
   std::vector<uint32_t> origins;  // matching original positions
   std::vector<std::pair<double, uint32_t>> pairs;  // skewed-bucket guard
-  std::vector<uint32_t> order_unused;  // untracked overload's origin sink
 };
 
 namespace internal {
@@ -85,12 +82,12 @@ inline void SortRangeTracked(double* v, uint32_t* o, size_t n,
 /// range; a std::sort guard bounds pathologically skewed buckets).
 /// Produces exactly the ascending order std::sort would, and reports in
 /// `order` (resized to cuts->size()) the input position each output value
-/// came from — the chain sweeper's progressive compaction maps each sum
-/// interval straight to its flatten slice with it instead of binary-
-/// searching the deduped cut list per entry.
-inline void SortCutsMonotoneTracked(std::vector<double>* cuts,
-                                    std::vector<uint32_t>* order,
-                                    CutBinningScratch* scratch) {
+/// came from — the flatten kernel maps each interval bound straight to its
+/// slice with it instead of binary-searching the deduped cut list per
+/// entry.
+inline void SortCutsMonotone(std::vector<double>* cuts,
+                             std::vector<uint32_t>* order,
+                             CutBinningScratch* scratch) {
   const size_t n = cuts->size();
   order->resize(n);
   uint32_t* const ord = order->data();
@@ -150,22 +147,6 @@ inline void SortCutsMonotoneTracked(std::vector<double>* cuts,
   }
   std::copy(scratch->scattered.begin(), scratch->scattered.end(), v);
   std::copy(scratch->origins.begin(), scratch->origins.end(), ord);
-}
-
-/// Untracked variant: same single implementation, origins discarded.
-inline void SortCutsMonotone(std::vector<double>* cuts,
-                             CutBinningScratch* scratch) {
-  std::vector<uint32_t> order = std::move(scratch->order_unused);
-  SortCutsMonotoneTracked(cuts, &order, scratch);
-  scratch->order_unused = std::move(order);
-}
-
-/// Convenience overload on a per-thread scratch, so callers without their
-/// own buffers (FlattenToDisjoint in every Finalize, the divergence union
-/// refinements) stay allocation-free in steady state too.
-inline void SortCutsMonotone(std::vector<double>* cuts) {
-  static thread_local CutBinningScratch scratch;
-  SortCutsMonotone(cuts, &scratch);
 }
 
 }  // namespace hist

@@ -1,7 +1,8 @@
-// The greedy cheapest-adjacent-merge loop shared by hist::Compact and the
-// chain sweeper's progressive compaction (ChainSweeper::CompactSums): merge
-// the adjacent bucket pair whose merge increases the L2 density error the
-// least (MergeCost), until at most `cap` buckets remain.
+// The greedy cheapest-adjacent-merge loop of hist::Compact and of the
+// flatten kernel's compaction step (hist/flatten.h), which every flatten in
+// the library runs through: merge the adjacent bucket pair whose merge
+// increases the L2 density error the least (MergeCost), until at most
+// `cap` buckets remain.
 //
 // GreedyMergeToCap dispatches on job size between two strategies with an
 // *identical* merge sequence:
@@ -10,8 +11,8 @@
 //     with per-block minima: a merge touches at most three cost entries,
 //     so it rescans those blocks (O(block)) and the global pick scans
 //     block minima (O(n/block)). The scans are contiguous double compares,
-//     so for jobs up to a few thousand entries (the sweeper's progressive
-//     compaction lives here) its constant factor beats any heap — swapping
+//     so for jobs up to a few thousand entries (the chain sweep's
+//     compactions live here) its constant factor beats any heap — swapping
 //     it for the heap across the board measured the whole chain kernel
 //     ~45% slower.
 //   * GreedyMergeHeap — a lazy pair min-heap over adjacent survivors plus
@@ -28,8 +29,7 @@
 // block across blocks; the heap orders by (cost, index); survivor order
 // never changes, so original indices compare like scan positions). All
 // working storage lives in a caller-owned GreedyMergeScratch, so
-// steady-state callers (the sweeper's per-thread scratch) allocate
-// nothing.
+// steady-state callers (the flatten kernel's scratch) allocate nothing.
 //
 // GreedyMergeToCapRescan is the frozen reference loop (global rescan per
 // merge) that defines the semantics; the randomized equivalence test

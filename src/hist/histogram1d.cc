@@ -8,7 +8,9 @@
 #include <sstream>
 
 #include "common/mathutil.h"
+#include "common/simd.h"
 #include "hist/cut_binning.h"
+#include "hist/flatten.h"
 #include "hist/greedy_merge.h"
 
 namespace pcde {
@@ -26,11 +28,49 @@ void Normalize(std::vector<Bucket>* buckets) {
   for (Bucket& b : *buckets) b.prob /= total;
 }
 
+/// Make's mass check on a total that is already summed. Written so that a
+/// NaN total fails it.
+Status CheckUnitMass(double total) {
+  if (std::fabs(total - 1.0) <= kMassTolerance) return Status::OK();
+  return Status::InvalidArgument("bucket probabilities sum to " +
+                                 std::to_string(total) + ", expected 1");
+}
+
+/// The flatten kernel's cut step: sorts scratch->cuts ascending, keeps the
+/// first cut of every run within kMinWidth of the last kept one (the
+/// predicate order of std::unique), and records in scratch->slice_of[j]
+/// the kept index of input cut j.
+void SortAndDedupeCuts(FlattenScratch* scratch) {
+  std::vector<double>& cuts = scratch->cuts;
+  const size_t m = cuts.size();
+  SortCutsMonotone(&cuts, &scratch->order, &scratch->bins);
+  scratch->slice_of.resize(m);
+  size_t kept = 0;
+  for (size_t j = 0; j < m; ++j) {
+    const double v = cuts[j];
+    if (kept == 0 || !(std::fabs(v - cuts[kept - 1]) < kMinWidth)) {
+      cuts[kept++] = v;
+    }
+    scratch->slice_of[scratch->order[j]] = static_cast<uint32_t>(kept - 1);
+  }
+  cuts.resize(kept);
+}
+
 }  // namespace
 
 StatusOr<Histogram1D> Histogram1D::Make(std::vector<Bucket> buckets) {
   if (buckets.empty()) {
     return Status::InvalidArgument("histogram needs at least one bucket");
+  }
+  // Before the sort: NaN fails every comparison, in it and in the checks
+  // below.
+  for (const Bucket& b : buckets) {
+    if (!std::isfinite(b.range.lo) || !std::isfinite(b.range.hi)) {
+      return Status::InvalidArgument("bucket bound is not finite");
+    }
+    if (std::isnan(b.prob)) {
+      return Status::InvalidArgument("bucket probability is NaN");
+    }
   }
   std::sort(buckets.begin(), buckets.end(),
             [](const Bucket& a, const Bucket& b) {
@@ -49,12 +89,14 @@ StatusOr<Histogram1D> Histogram1D::Make(std::vector<Bucket> buckets) {
     }
     total += buckets[i].prob;
   }
-  if (std::fabs(total - 1.0) > kMassTolerance) {
-    return Status::InvalidArgument("bucket probabilities sum to " +
-                                   std::to_string(total) + ", expected 1");
-  }
+  PCDE_RETURN_NOT_OK(CheckUnitMass(total));
   Normalize(&buckets);
   return Histogram1D(std::move(buckets));
+}
+
+Histogram1D Histogram1D::FromFlattened(const FlattenScratch& scratch) {
+  assert(!scratch.buckets.empty());
+  return Histogram1D(scratch.buckets);
 }
 
 Histogram1D Histogram1D::Single(double lo, double hi) {
@@ -171,106 +213,134 @@ std::string Histogram1D::ToString(int precision) const {
   return os.str();
 }
 
-StatusOr<Histogram1D> FlattenToDisjoint(std::vector<WeightedInterval> parts) {
-  if (parts.empty()) {
+Status FlattenAndCompact(const double* lo, const double* hi,
+                         const double* prob, size_t n, size_t max_buckets,
+                         FlattenScratch* scratch) {
+  FlattenScratch& sc = *scratch;
+  if (n == 0) {
     return Status::InvalidArgument("FlattenToDisjoint: no input intervals");
   }
-  // Collect breakpoints.
-  std::vector<double> cuts;
-  cuts.reserve(parts.size() * 2);
+  sc.width.resize(n);
+  simd::SubTo(hi, lo, n, sc.width.data());
   double total_mass = 0.0;
-  for (const WeightedInterval& w : parts) {
-    if (w.prob < 0.0) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(lo[i]) || !std::isfinite(hi[i])) {
+      return Status::InvalidArgument("FlattenToDisjoint: non-finite bound");
+    }
+    if (!std::isfinite(prob[i])) {
+      return Status::InvalidArgument("FlattenToDisjoint: non-finite weight");
+    }
+    if (prob[i] < 0.0) {
       return Status::InvalidArgument("FlattenToDisjoint: negative weight");
     }
-    if (w.range.width() < kMinWidth && w.prob > 0.0) {
+    if (sc.width[i] < kMinWidth && prob[i] > 0.0) {
       return Status::InvalidArgument(
           "FlattenToDisjoint: zero-width interval with positive mass");
     }
-    total_mass += w.prob;
-    cuts.push_back(w.range.lo);
-    cuts.push_back(w.range.hi);
+    total_mass += prob[i];
   }
   if (total_mass <= 0.0) {
     return Status::InvalidArgument("FlattenToDisjoint: zero total mass");
   }
-  SortCutsMonotone(&cuts);
-  cuts.erase(std::unique(cuts.begin(), cuts.end(),
-                         [](double a, double b) {
-                           return std::fabs(a - b) < kMinWidth;
-                         }),
-             cuts.end());
+  sc.density.resize(n);
+  simd::DivTo(prob, sc.width.data(), n, sc.density.data());
 
-  // Accumulate density per elementary slice with a difference array:
-  // O(parts log parts + slices) instead of walking every covered slice per
-  // part (the walk is quadratic when many wide intervals overlap, and this
-  // accumulation is the hot inner step of the chain sweep's progressive
-  // compaction). A parallel cover counter keeps slices no interval covers
-  // at exactly zero density — the float prefix sum alone would leave
-  // cancellation residue there and emit phantom buckets.
+  // Breakpoints: both lanes back to back, so input cut i < n is interval
+  // i's lower bound and n + i its upper one.
+  std::vector<double>& cuts = sc.cuts;
+  cuts.resize(2 * n);
+  std::copy(lo, lo + n, cuts.begin());
+  std::copy(hi, hi + n, cuts.begin() + static_cast<ptrdiff_t>(n));
+  SortAndDedupeCuts(&sc);
+
+  // Per-slice density by difference array. A bound's slice is
+  // lower_bound(cuts, bound - kMinWidth). Its kept cut from the dedup
+  // differs from that only when another kept cut lies exactly kMinWidth
+  // below the bound, so two comparisons verify it and a binary search
+  // settles the mismatch.
   const size_t n_slices = cuts.size() - 1;
-  std::vector<double> diff(n_slices + 1, 0.0);
-  std::vector<int32_t> cover(n_slices + 1, 0);
-  for (const WeightedInterval& w : parts) {
-    if (w.prob <= 0.0) continue;
-    const double d = w.prob / w.range.width();
-    const auto lo_it = std::lower_bound(cuts.begin(), cuts.end(),
-                                        w.range.lo - kMinWidth);
-    const size_t s = static_cast<size_t>(lo_it - cuts.begin());
-    const auto hi_it = std::lower_bound(cuts.begin() + static_cast<ptrdiff_t>(s),
-                                        cuts.end(), w.range.hi - kMinWidth);
-    const size_t s_end =
-        std::min(n_slices, static_cast<size_t>(hi_it - cuts.begin()));
+  sc.diff.assign(n_slices + 1, 0.0);
+  sc.cover.assign(n_slices + 1, 0);
+  auto slice_for = [&cuts](size_t hint, double key) {
+    if (cuts[hint] >= key && (hint == 0 || cuts[hint - 1] < key)) return hint;
+    return static_cast<size_t>(
+        std::lower_bound(cuts.begin(), cuts.end(), key) - cuts.begin());
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (prob[i] <= 0.0) continue;
+    const size_t s = slice_for(sc.slice_of[i], lo[i] - kMinWidth);
+    const size_t s_end = std::min(
+        n_slices, slice_for(sc.slice_of[n + i], hi[i] - kMinWidth));
     if (s >= s_end) continue;
-    diff[s] += d;
-    diff[s_end] -= d;
-    ++cover[s];
-    --cover[s_end];
+    sc.diff[s] += sc.density[i];
+    sc.diff[s_end] -= sc.density[i];
+    ++sc.cover[s];
+    --sc.cover[s_end];
   }
-  std::vector<double> density(n_slices, 0.0);
+
+  // Emit positive-mass slices, merging equal-density neighbours.
+  std::vector<Bucket>& out = sc.buckets;
+  out.clear();
   double running = 0.0;
   int32_t covering = 0;
   for (size_t s = 0; s < n_slices; ++s) {
-    covering += cover[s];
-    running += diff[s];
+    covering += sc.cover[s];
+    running += sc.diff[s];
     if (covering == 0) running = 0.0;  // drop cancellation residue exactly
-    density[s] = running;
-  }
-
-  // Emit slices with positive mass, merging equal-density neighbours (this
-  // is what keeps the paper's [70,90) bucket whole in Fig. 7).
-  std::vector<Bucket> out;
-  out.reserve(n_slices);
-  for (size_t s = 0; s < n_slices; ++s) {
-    const double w = cuts[s + 1] - cuts[s];
-    const double mass = density[s] * w;
-    if (mass <= 0.0) continue;
-    const bool contiguous =
-        !out.empty() && std::fabs(out.back().range.hi - cuts[s]) < kMinWidth;
-    if (contiguous) {
-      const double prev_density = out.back().prob / out.back().range.width();
-      if (std::fabs(prev_density - density[s]) <=
-          1e-9 * std::max(prev_density, density[s])) {
-        out.back().range.hi = cuts[s + 1];
-        out.back().prob += mass;
+    const double slice_mass = running * (cuts[s + 1] - cuts[s]);
+    if (slice_mass <= 0.0) continue;
+    if (!out.empty() && std::fabs(out.back().range.hi - cuts[s]) < kMinWidth) {
+      Bucket& prev = out.back();
+      const double prev_density = prev.prob / prev.range.width();
+      if (std::fabs(prev_density - running) <=
+          1e-9 * std::max(prev_density, running)) {
+        prev.range.hi = cuts[s + 1];
+        prev.prob += slice_mass;
         continue;
       }
     }
-    out.emplace_back(cuts[s], cuts[s + 1], mass);
+    out.emplace_back(cuts[s], cuts[s + 1], slice_mass);
   }
-  // Normalize (mass was conserved up to float error).
+  if (out.empty()) {
+    return Status::InvalidArgument("histogram needs at least one bucket");
+  }
+
+  // Two normalizations: by the input mass, then the float drift away.
   for (Bucket& b : out) b.prob /= total_mass;
-  return Histogram1D::Make(std::move(out));
+  double flat_total = 0.0;
+  for (const Bucket& b : out) flat_total += b.prob;
+  PCDE_RETURN_NOT_OK(CheckUnitMass(flat_total));
+  for (Bucket& b : out) b.prob /= flat_total;
+
+  if (max_buckets > 0 && out.size() > max_buckets) {
+    GreedyMergeToCap(&out, max_buckets, &sc.merge);
+    double merged_total = 0.0;
+    for (const Bucket& b : out) merged_total += b.prob;
+    for (Bucket& b : out) b.prob /= merged_total;
+  }
+  return Status::OK();
+}
+
+StatusOr<Histogram1D> FlattenToDisjoint(std::vector<WeightedInterval> parts) {
+  FlattenScratch sc;
+  for (const WeightedInterval& w : parts) {
+    sc.lo.push_back(w.range.lo);
+    sc.hi.push_back(w.range.hi);
+    sc.prob.push_back(w.prob);
+  }
+  PCDE_RETURN_NOT_OK(FlattenAndCompact(sc.lo.data(), sc.hi.data(),
+                                       sc.prob.data(), parts.size(),
+                                       /*max_buckets=*/0, &sc));
+  return Histogram1D::FromFlattened(sc);
 }
 
 Histogram1D Compact(const Histogram1D& h, size_t max_buckets) {
   if (h.NumBuckets() <= max_buckets || max_buckets == 0) return h;
   std::vector<Bucket> bs = h.buckets();
-  // The shared size-dispatched greedy merge (hist/greedy_merge.h) — the
-  // same loop the chain sweeper's progressive compaction runs on
-  // thread-local scratch. Its merge sequence is identical to the
-  // full-rescan reference (ties break toward the smaller left index),
-  // pinned by the randomized equivalence test.
+  // The size-dispatched greedy merge (hist/greedy_merge.h) that the
+  // flatten kernel's compaction step also runs. Its merge sequence is
+  // identical to the full-rescan reference (ties break toward the smaller
+  // left index), pinned by the randomized equivalence test.
   GreedyMergeScratch scratch;
   GreedyMergeToCap(&bs, max_buckets, &scratch);
   auto result = Histogram1D::Make(std::move(bs));
@@ -283,39 +353,35 @@ StatusOr<Histogram1D> Convolve(const Histogram1D& a, const Histogram1D& b,
   if (a.empty() || b.empty()) {
     return Status::InvalidArgument("Convolve: empty histogram");
   }
-  std::vector<WeightedInterval> parts;
-  parts.reserve(a.NumBuckets() * b.NumBuckets());
+  FlattenScratch sc;
   for (const Bucket& x : a.buckets()) {
     for (const Bucket& y : b.buckets()) {
       const double p = x.prob * y.prob;
       if (p <= 0.0) continue;
-      parts.emplace_back(x.range + y.range, p);
+      sc.lo.push_back(x.range.lo + y.range.lo);
+      sc.hi.push_back(x.range.hi + y.range.hi);
+      sc.prob.push_back(p);
     }
   }
-  PCDE_ASSIGN_OR_RETURN(flat, FlattenToDisjoint(std::move(parts)));
-  return Compact(flat, max_buckets);
+  PCDE_RETURN_NOT_OK(FlattenAndCompact(sc.lo.data(), sc.hi.data(),
+                                       sc.prob.data(), sc.prob.size(),
+                                       max_buckets, &sc));
+  return Histogram1D::FromFlattened(sc);
 }
 
 namespace {
 
 // Merges the breakpoints of two histograms over the union of supports.
 std::vector<double> UnionCuts(const Histogram1D& p, const Histogram1D& q) {
-  std::vector<double> cuts;
-  for (const Bucket& b : p.buckets()) {
-    cuts.push_back(b.range.lo);
-    cuts.push_back(b.range.hi);
+  FlattenScratch sc;
+  for (const Histogram1D* h : {&p, &q}) {
+    for (const Bucket& b : h->buckets()) {
+      sc.cuts.push_back(b.range.lo);
+      sc.cuts.push_back(b.range.hi);
+    }
   }
-  for (const Bucket& b : q.buckets()) {
-    cuts.push_back(b.range.lo);
-    cuts.push_back(b.range.hi);
-  }
-  SortCutsMonotone(&cuts);
-  cuts.erase(std::unique(cuts.begin(), cuts.end(),
-                         [](double a, double b) {
-                           return std::fabs(a - b) < kMinWidth;
-                         }),
-             cuts.end());
-  return cuts;
+  SortAndDedupeCuts(&sc);
+  return std::move(sc.cuts);
 }
 
 }  // namespace

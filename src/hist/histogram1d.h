@@ -33,15 +33,22 @@ struct Bucket {
 /// Bucket lists in a Histogram1D, these may overlap.
 using WeightedInterval = Bucket;
 
+struct FlattenScratch;  // hist/flatten.h
+
 /// \brief Immutable 1-D histogram: disjoint sorted buckets, total mass 1.
 class Histogram1D {
  public:
   Histogram1D() = default;
 
-  /// Validates: buckets sorted, pairwise disjoint, positive widths,
-  /// non-negative probabilities summing to 1 within tolerance (mass is then
-  /// renormalized exactly).
+  /// Validates: finite bounds, buckets sorted, pairwise disjoint, positive
+  /// widths, non-negative probabilities summing to 1 within tolerance (mass
+  /// is then renormalized exactly).
   static StatusOr<Histogram1D> Make(std::vector<Bucket> buckets);
+
+  /// The buckets of the last successful FlattenAndCompact on `scratch`
+  /// (hist/flatten.h), copied as they are: the kernel has validated and
+  /// normalized them, and renormalizing again would move their bits.
+  static Histogram1D FromFlattened(const FlattenScratch& scratch);
 
   /// Degenerate single-bucket histogram covering [lo, hi).
   static Histogram1D Single(double lo, double hi);
@@ -119,7 +126,7 @@ class Histogram1D {
 /// Reproduces the paper's Fig. 7 example exactly: adjacent output slices
 /// with equal density are merged back into one bucket, zero-mass gaps are
 /// dropped. Total mass is preserved (then normalized to counter float
-/// drift).
+/// drift). FlattenAndCompact (hist/flatten.h) with no bucket cap.
 StatusOr<Histogram1D> FlattenToDisjoint(std::vector<WeightedInterval> parts);
 
 /// \brief Convolution of independent histograms (the legacy paradigm's
@@ -130,9 +137,8 @@ StatusOr<Histogram1D> Convolve(const Histogram1D& a, const Histogram1D& b,
 
 /// \brief Cost of merging two adjacent buckets into one uniform bucket:
 /// the integrated squared density error (covering any gap between them,
-/// where the old density is 0). Shared by Compact and the chain sweeper's
-/// scratch-based progressive compaction, which must replicate Compact's
-/// merge decisions exactly.
+/// where the old density is 0). The greedy merge (hist/greedy_merge.h) of
+/// Compact and of the flatten kernel's compaction step ranks pairs by it.
 inline double MergeCost(const Interval& a_range, double a_prob,
                         const Interval& b_range, double b_prob) {
   const double w_merged = b_range.hi - a_range.lo;

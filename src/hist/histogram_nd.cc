@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/mathutil.h"
+#include "hist/flatten.h"
 #include "hist/raw_distribution.h"
 
 namespace pcde {
@@ -225,15 +226,18 @@ StatusOr<Histogram1D> HistogramND::SumDistribution(size_t max_buckets) const {
   if (NumBuckets() == 0) {
     return Status::InvalidArgument("SumDistribution: empty histogram");
   }
-  std::vector<WeightedInterval> parts;
-  parts.reserve(NumBuckets());
+  FlattenScratch sc;
   for (const BucketRef hb : buckets()) {
     Interval sum(0.0, 0.0);
     for (size_t d = 0; d < NumDims(); ++d) sum = sum + Box(hb, d);
-    parts.emplace_back(sum, hb.prob);
+    sc.lo.push_back(sum.lo);
+    sc.hi.push_back(sum.hi);
+    sc.prob.push_back(hb.prob);
   }
-  PCDE_ASSIGN_OR_RETURN(flat, FlattenToDisjoint(std::move(parts)));
-  return Compact(flat, max_buckets);
+  PCDE_RETURN_NOT_OK(FlattenAndCompact(sc.lo.data(), sc.hi.data(),
+                                       sc.prob.data(), sc.prob.size(),
+                                       max_buckets, &sc));
+  return Histogram1D::FromFlattened(sc);
 }
 
 double HistogramND::DiscreteEntropy() const {

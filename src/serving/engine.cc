@@ -590,8 +590,7 @@ const CancelToken* SetupCancel(double timeout_seconds,
 /// estimator would otherwise answer it from the all-day fallback
 /// variables, as if it were a real time of day.
 Status CheckDeparture(double departure_time) {
-  if (core::QueryCache::CanKeyDeparture(
-          departure_time, core::QueryCacheOptions().time_bucket_seconds)) {
+  if (core::QueryCache::CanKeyDeparture(departure_time)) {
     return Status::OK();
   }
   return Status::InvalidArgument(

@@ -4,8 +4,8 @@
 // reference's merge sequence bit for bit on randomized sum sets —
 // including exact cost ties, where the reference's first-minimum rule
 // (smallest left index) is the contract. This pins the semantics of both
-// hist::Compact and the chain sweeper's progressive compaction
-// (ChainSweeper::CompactSums), which share this loop.
+// hist::Compact and the flatten kernel's compaction step
+// (hist::FlattenAndCompact), which share this loop.
 #include <gtest/gtest.h>
 
 #include <vector>

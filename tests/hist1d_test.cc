@@ -3,9 +3,13 @@
 // to its printed 4-digit precision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
+#include "hist/flatten.h"
+#include "hist/greedy_merge.h"
 #include "hist/histogram1d.h"
 #include "serving/engine.h"
 
@@ -31,6 +35,16 @@ TEST(Histogram1DTest, MakeValidates) {
   EXPECT_FALSE(Histogram1D::Make({{0, 5, -0.1}, {5, 10, 1.1}}).ok()); // negative
   EXPECT_TRUE(Histogram1D::Make({{0, 5, 0.4}, {5, 10, 0.6}}).ok());
   EXPECT_TRUE(Histogram1D::Make({{0, 5, 0.4}, {7, 10, 0.6}}).ok());   // gap ok
+  // Non-finite input. NaN fails every comparison, so each NaN case used to
+  // pass; the infinite bound gave an infinite Mean().
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(Histogram1D::Make({{0, 1, nan}}).ok());
+  EXPECT_FALSE(Histogram1D::Make({{0, nan, 1}}).ok());
+  EXPECT_FALSE(Histogram1D::Make({{nan, 1, 1}}).ok());
+  EXPECT_FALSE(Histogram1D::Make({{0, inf, 1}}).ok());
+  EXPECT_FALSE(Histogram1D::Make({{0, 1, 0.5}, {-inf, -1, 0.5}}).ok());
+  EXPECT_FALSE(Histogram1D::Make({{0, 1, 0.5}, {1, 2, nan}}).ok());
 }
 
 TEST(Histogram1DTest, MakeSortsBuckets) {
@@ -247,6 +261,288 @@ TEST(FlattenTest, RejectsBadInput) {
   EXPECT_FALSE(FlattenToDisjoint({{Interval(0, 1), -0.5}}).ok());
   EXPECT_FALSE(FlattenToDisjoint({{Interval(3, 3), 1.0}}).ok());
   EXPECT_FALSE(FlattenToDisjoint({{Interval(0, 1), 0.0}}).ok());  // zero mass
+  // Non-finite bounds and masses. The NaN bound used to flatten into three
+  // buckets with NaN bounds and masses.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(
+      FlattenToDisjoint({{Interval(0, 1), 0.5}, {Interval(nan, 2), 0.5}}).ok());
+  EXPECT_FALSE(FlattenToDisjoint({{Interval(0, nan), 1.0}}).ok());
+  EXPECT_FALSE(FlattenToDisjoint({{Interval(0, inf), 1.0}}).ok());
+  EXPECT_FALSE(FlattenToDisjoint({{Interval(-inf, 0), 1.0}}).ok());
+  EXPECT_FALSE(FlattenToDisjoint({{Interval(0, 1), nan}}).ok());
+  EXPECT_FALSE(FlattenToDisjoint({{Interval(0, 1), inf}}).ok());
+  EXPECT_FALSE(
+      FlattenToDisjoint({{Interval(0, 1), 0.5}, {Interval(1, 2), nan}}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// FlattenAndCompact against the pipeline it replaced, bit for bit
+// ---------------------------------------------------------------------------
+
+constexpr double kCutTolerance = 1e-12;
+
+/// Ascending cuts of `parts` deduplicated within kCutTolerance, as the
+/// replaced pipeline computed them (std::sort orders doubles exactly as its
+/// monotone grid did).
+std::vector<double> OldCuts(const std::vector<WeightedInterval>& parts) {
+  std::vector<double> cuts;
+  for (const WeightedInterval& w : parts) {
+    cuts.push_back(w.range.lo);
+    cuts.push_back(w.range.hi);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end(),
+                         [](double a, double b) {
+                           return std::fabs(a - b) < kCutTolerance;
+                         }),
+             cuts.end());
+  return cuts;
+}
+
+/// The replaced FlattenToDisjoint, step for step.
+StatusOr<Histogram1D> OldFlattenToDisjoint(
+    const std::vector<WeightedInterval>& parts) {
+  if (parts.empty()) {
+    return Status::InvalidArgument("FlattenToDisjoint: no input intervals");
+  }
+  double total_mass = 0.0;
+  for (const WeightedInterval& w : parts) {
+    if (w.prob < 0.0) {
+      return Status::InvalidArgument("FlattenToDisjoint: negative weight");
+    }
+    if (w.range.width() < kCutTolerance && w.prob > 0.0) {
+      return Status::InvalidArgument(
+          "FlattenToDisjoint: zero-width interval with positive mass");
+    }
+    total_mass += w.prob;
+  }
+  if (total_mass <= 0.0) {
+    return Status::InvalidArgument("FlattenToDisjoint: zero total mass");
+  }
+  const std::vector<double> cuts = OldCuts(parts);
+  const size_t n_slices = cuts.size() - 1;
+  std::vector<double> diff(n_slices + 1, 0.0);
+  std::vector<int32_t> cover(n_slices + 1, 0);
+  for (const WeightedInterval& w : parts) {
+    if (w.prob <= 0.0) continue;
+    const double d = w.prob / w.range.width();
+    const auto lo_it = std::lower_bound(cuts.begin(), cuts.end(),
+                                        w.range.lo - kCutTolerance);
+    const size_t s = static_cast<size_t>(lo_it - cuts.begin());
+    const auto hi_it =
+        std::lower_bound(cuts.begin() + static_cast<ptrdiff_t>(s), cuts.end(),
+                         w.range.hi - kCutTolerance);
+    const size_t s_end =
+        std::min(n_slices, static_cast<size_t>(hi_it - cuts.begin()));
+    if (s >= s_end) continue;
+    diff[s] += d;
+    diff[s_end] -= d;
+    ++cover[s];
+    --cover[s_end];
+  }
+  std::vector<double> density(n_slices, 0.0);
+  double running = 0.0;
+  int32_t covering = 0;
+  for (size_t s = 0; s < n_slices; ++s) {
+    covering += cover[s];
+    running += diff[s];
+    if (covering == 0) running = 0.0;
+    density[s] = running;
+  }
+  std::vector<Bucket> out;
+  for (size_t s = 0; s < n_slices; ++s) {
+    const double w = cuts[s + 1] - cuts[s];
+    const double mass = density[s] * w;
+    if (mass <= 0.0) continue;
+    const bool contiguous = !out.empty() &&
+                            std::fabs(out.back().range.hi - cuts[s]) <
+                                kCutTolerance;
+    if (contiguous) {
+      const double prev_density = out.back().prob / out.back().range.width();
+      if (std::fabs(prev_density - density[s]) <=
+          1e-9 * std::max(prev_density, density[s])) {
+        out.back().range.hi = cuts[s + 1];
+        out.back().prob += mass;
+        continue;
+      }
+    }
+    out.emplace_back(cuts[s], cuts[s + 1], mass);
+  }
+  for (Bucket& b : out) b.prob /= total_mass;
+  return Histogram1D::Make(std::move(out));
+}
+
+/// The replaced Compact, step for step.
+Histogram1D OldCompact(const Histogram1D& h, size_t max_buckets) {
+  if (h.NumBuckets() <= max_buckets || max_buckets == 0) return h;
+  std::vector<Bucket> bs = h.buckets();
+  GreedyMergeScratch scratch;
+  GreedyMergeToCap(&bs, max_buckets, &scratch);
+  return Histogram1D::Make(std::move(bs)).value();
+}
+
+/// What the input exercises, counted over the whole sweep.
+struct DifferentialCoverage {
+  size_t ok = 0;
+  size_t rejected = 0;
+  size_t inflated = 0;
+  size_t zero_mass = 0;
+  size_t lookup_fallbacks = 0;
+  size_t merged_equal_density = 0;
+  size_t heap_merges = 0;
+};
+
+/// Random weighted intervals mixing the shapes the sweep needs: overlaps,
+/// inflated zero-width sums, zero-mass entries, equal-density neighbours,
+/// cuts 1e-12 apart, and (for `huge`) more slices than the greedy merge's
+/// heap threshold.
+std::vector<WeightedInterval> DifferentialInput(Rng* rng, bool huge,
+                                                DifferentialCoverage* cov) {
+  std::vector<WeightedInterval> parts;
+  if (huge) {
+    // Disjoint, gapped, distinct densities: every interval is one slice.
+    double at = rng->Uniform(0.0, 10.0);
+    const size_t n = kGreedyMergeHeapThreshold + 1 +
+                     static_cast<size_t>(rng->UniformInt(0, 300));
+    for (size_t i = 0; i < n; ++i) {
+      const double w = rng->Uniform(0.05, 2.0);
+      parts.push_back({Interval(at, at + w), rng->Uniform(0.01, 1.0)});
+      at += w + rng->Uniform(0.01, 0.5);
+    }
+    return parts;
+  }
+  const size_t n = 1 + static_cast<size_t>(rng->UniformInt(0, 120));
+  const double base = rng->Uniform(-50.0, 400.0);
+  for (size_t i = 0; i < n; ++i) {
+    const int shape = static_cast<int>(rng->UniformInt(0, 9));
+    double lo = base + rng->Uniform(0.0, 200.0);
+    double hi = lo + rng->Uniform(0.01, 60.0);
+    double p = rng->Uniform(0.001, 1.0);
+    if (shape == 0) {
+      // A zero-width sum, inflated as the chain sweep inflates its sums.
+      const Interval inflated = Interval(lo, lo).Inflated();
+      lo = inflated.lo;
+      hi = inflated.hi;
+      ++cov->inflated;
+    } else if (shape == 1) {
+      p = 0.0;
+      if (rng->Uniform() < 0.3) hi = lo;  // zero mass may have zero width
+      ++cov->zero_mass;
+    } else if (shape == 2 && !parts.empty()) {
+      // An equal-density neighbour of the previous interval.
+      const WeightedInterval& prev = parts.back();
+      if (prev.prob > 0.0) {
+        lo = prev.range.hi;
+        hi = lo + rng->Uniform(0.5, 30.0);
+        p = prev.prob / prev.range.width() * (hi - lo);
+      }
+    } else if (shape == 3 && !parts.empty()) {
+      // Bounds within 1e-12 of an earlier cut, or exactly 1e-12 below one
+      // (where the kept cut of a bound is not its slice).
+      const WeightedInterval& prev = parts[static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(parts.size()) - 1))];
+      static constexpr double kOffsets[] = {0.0,     1e-12,  -1e-12, 5e-13,
+                                            -5e-13, 2e-12,  3e-13,  -2e-12};
+      const double at = rng->Uniform() < 0.5 ? prev.range.lo : prev.range.hi;
+      lo = at + kOffsets[rng->UniformInt(0, 7)];
+      if (rng->Uniform() < 0.5) {
+        hi = lo + rng->Uniform(0.01, 40.0);
+      } else {
+        hi = lo;
+        lo = hi - rng->Uniform(0.01, 40.0);
+      }
+    }
+    parts.push_back({Interval(lo, hi), p});
+  }
+  if (rng->Uniform() < 0.05) {
+    // Occasionally invalid: both sides must reject with the same message.
+    parts[static_cast<size_t>(rng->UniformInt(
+                0, static_cast<int64_t>(parts.size()) - 1))]
+        .prob = rng->Uniform() < 0.5 ? -0.25 : 0.0;
+    if (rng->Uniform() < 0.5) {
+      for (WeightedInterval& w : parts) w.prob = 0.0;
+    }
+  }
+  return parts;
+}
+
+TEST(FlattenKernelTest, BitIdenticalToTheReplacedPipeline) {
+  Rng rng(20261019);
+  FlattenScratch scratch;  // reused throughout, as a thread's scratch is
+  DifferentialCoverage cov;
+  constexpr int kRounds = 2400;
+  for (int round = 0; round < kRounds; ++round) {
+    const bool huge = round % 400 == 0;
+    const std::vector<WeightedInterval> parts =
+        DifferentialInput(&rng, huge, &cov);
+    const int cap_pick = static_cast<int>(rng.UniformInt(0, 3));
+    const size_t cap = huge            ? 64
+                       : cap_pick == 0 ? 0
+                       : cap_pick == 1 ? 48
+                       : cap_pick == 2 ? 64
+                                       : static_cast<size_t>(
+                                             rng.UniformInt(1, 100));
+
+    const StatusOr<Histogram1D> old_flat = OldFlattenToDisjoint(parts);
+    std::vector<double> lo, hi, prob;
+    for (const WeightedInterval& w : parts) {
+      lo.push_back(w.range.lo);
+      hi.push_back(w.range.hi);
+      prob.push_back(w.prob);
+    }
+    const Status status = FlattenAndCompact(lo.data(), hi.data(), prob.data(),
+                                            parts.size(), cap, &scratch);
+    ASSERT_EQ(status.ok(), old_flat.ok()) << "round " << round;
+    if (!status.ok()) {
+      EXPECT_EQ(status.message(), old_flat.status().message());
+      ++cov.rejected;
+      continue;
+    }
+    ++cov.ok;
+    if (old_flat->NumBuckets() > kGreedyMergeHeapThreshold && cap > 0) {
+      ++cov.heap_merges;
+    }
+    const Histogram1D expected = OldCompact(old_flat.value(), cap);
+    ASSERT_EQ(scratch.buckets.size(), expected.NumBuckets())
+        << "round " << round;
+    for (size_t i = 0; i < expected.NumBuckets(); ++i) {
+      ASSERT_EQ(scratch.buckets[i].range.lo, expected.bucket(i).range.lo)
+          << "round " << round << " bucket " << i;
+      ASSERT_EQ(scratch.buckets[i].range.hi, expected.bucket(i).range.hi)
+          << "round " << round << " bucket " << i;
+      ASSERT_EQ(scratch.buckets[i].prob, expected.bucket(i).prob)
+          << "round " << round << " bucket " << i;
+    }
+    EXPECT_TRUE(Histogram1D::FromFlattened(scratch).BitIdentical(expected));
+
+    // A kept cut exactly kCutTolerance below the next kept cut, where that
+    // cut is a positive-mass bound: the bound's own kept cut is then not
+    // its slice, and the kernel's lookup falls back to a binary search.
+    const std::vector<double> cuts = OldCuts(parts);
+    for (size_t k = 1; k < cuts.size(); ++k) {
+      if (!(cuts[k] - kCutTolerance <= cuts[k - 1])) continue;
+      for (const WeightedInterval& w : parts) {
+        if (w.prob > 0.0 && (w.range.lo == cuts[k] || w.range.hi == cuts[k])) {
+          ++cov.lookup_fallbacks;
+          break;
+        }
+      }
+    }
+    if (huge) continue;
+    size_t slices = 0;
+    for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+      slices += old_flat->Mass(Interval(cuts[k], cuts[k + 1])) > 0.0 ? 1 : 0;
+    }
+    if (slices > old_flat->NumBuckets()) ++cov.merged_equal_density;
+  }
+  EXPECT_GE(cov.ok, 2000u);
+  EXPECT_GT(cov.rejected, 0u);
+  EXPECT_GT(cov.inflated, 0u);
+  EXPECT_GT(cov.zero_mass, 0u);
+  EXPECT_GT(cov.lookup_fallbacks, 0u);
+  EXPECT_GT(cov.merged_equal_density, 0u);
+  EXPECT_GE(cov.heap_merges, 3u);
 }
 
 // Property sweep: flatten preserves mean (the rearrangement redistributes

@@ -295,26 +295,26 @@ TEST(QueryCacheTest, KeySeparatesOptionsTimeBucketPartsAndModel) {
   ChainOptions independent;
   independent.force_independence = true;
 
-  const auto base = QueryCache::MakeKey(de, 100.0, 300.0, fp, model);
+  const auto base = QueryCache::MakeKey(de, 100.0, fp, model);
   // Same bucket, then the next one.
-  EXPECT_EQ(base, QueryCache::MakeKey(de, 250.0, 300.0, fp, model));
-  EXPECT_NE(base, QueryCache::MakeKey(de, 400.0, 300.0, fp, model));
+  EXPECT_EQ(base, QueryCache::MakeKey(de, 250.0, fp, model));
+  EXPECT_NE(base, QueryCache::MakeKey(de, 400.0, fp, model));
   EXPECT_NE(base,
-            QueryCache::MakeKey(de, 100.0, 300.0,
+            QueryCache::MakeKey(de, 100.0,
                                 QueryCache::Fingerprint(independent), model));
   const Decomposition shifted{DecompositionPart{&var, 4}};
-  EXPECT_NE(base, QueryCache::MakeKey(shifted, 100.0, 300.0, fp, model));
+  EXPECT_NE(base, QueryCache::MakeKey(shifted, 100.0, fp, model));
   // Keys carry frozen variable ids, not addresses: an equal-id variable at
   // a different address (a reloaded model) keys the same entry...
   InstantiatedVariable reloaded;
   reloaded.id = 9;
   const Decomposition same_id{DecompositionPart{&reloaded, 3}};
-  EXPECT_EQ(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, model));
+  EXPECT_EQ(base, QueryCache::MakeKey(same_id, 100.0, fp, model));
   // ...while a different id or a different model fingerprint never
   // false-hits.
   reloaded.id = 10;
-  EXPECT_NE(base, QueryCache::MakeKey(same_id, 100.0, 300.0, fp, model));
-  EXPECT_NE(base, QueryCache::MakeKey(de, 100.0, 300.0, fp, other));
+  EXPECT_NE(base, QueryCache::MakeKey(same_id, 100.0, fp, model));
+  EXPECT_NE(base, QueryCache::MakeKey(de, 100.0, fp, other));
 }
 
 TEST(QueryCacheTest, SingleModelKeysAreFingerprintOptionsBucketThenIdStart) {
@@ -327,11 +327,11 @@ TEST(QueryCacheTest, SingleModelKeysAreFingerprintOptionsBucketThenIdStart) {
   b.id = 4;
   const Decomposition de{DecompositionPart{&a, 0}, DecompositionPart{&b, 2}};
   const uint64_t fp = QueryCache::Fingerprint(ChainOptions());
-  EXPECT_EQ(QueryCache::MakeKey(de, 700.0, 300.0, fp, model),
+  EXPECT_EQ(QueryCache::MakeKey(de, 700.0, fp, model),
             (QueryCache::Key{model.fingerprint(), fp, 2, 9, 0, 4, 2}));
   // A departure before midnight buckets negative, as a two's-complement
   // word.
-  EXPECT_EQ(QueryCache::MakeKey(de, -1.0, 300.0, fp, model),
+  EXPECT_EQ(QueryCache::MakeKey(de, -1.0, fp, model),
             (QueryCache::Key{model.fingerprint(), fp,
                              static_cast<uint64_t>(int64_t{-1}), 9, 0, 4, 2}));
 }
