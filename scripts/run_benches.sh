@@ -1,17 +1,7 @@
 #!/usr/bin/env bash
 # Builds Release and runs the chain-estimation perf benches, writing the
-# BENCH_chain.json perf record at the repo root (schema: bench/README.md).
-# The record carries the paired kernel series (chain_sweep vs the frozen
-# reference), the Engine-served batch series estimate_batch_threads_{1,2,4,8}
-# with per-query p50/p99 latencies plus the paired direct-wiring series
-# estimate_batch_direct_threads_1 (engine_batch_vs_direct is the facade
-# overhead gate), the cached batch series estimate_batch_cached_threads_4
-# with its query-cache hit counts, the Engine::Route series
-# route_dfs{,_pruned}, the sharded serving series
-# sharded_estimate{,_mono,_cross} with the sharded_vs_mono routing-overhead
-# ratio and per-shard resident footprint headlines, and the model series
-# (offline build seconds, resident model bytes, and the PCDEWF1 artifact's
-# bytes, save seconds, and buffered and mmap load seconds).
+# BENCH_chain.json perf record at the repo root. bench/README.md documents
+# every series, headline and model field of the record.
 #
 # Usage: scripts/run_benches.sh [reps]
 #   reps: measurement repetitions per decomposition for the chain

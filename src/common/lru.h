@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -27,13 +26,6 @@ namespace pcde {
 template <typename K, typename V, typename Hash = std::hash<K>>
 class Lru {
  public:
-  /// Observes each eviction (key, value, accounted bytes) before the entry
-  /// is destroyed — both caches count their eviction stats through this.
-  /// The entry is already detached from the cache (not findable, bytes
-  /// released) when the callback runs, so a callback may reenter Insert or
-  /// Clear on the same Lru without invalidating the entry it was handed.
-  using EvictionCallback = std::function<void(const K&, V&, size_t)>;
-
   explicit Lru(size_t max_bytes) : max_bytes_(max_bytes) {}
 
   Lru(const Lru&) = delete;
@@ -42,8 +34,6 @@ class Lru {
   size_t max_bytes() const { return max_bytes_; }
   size_t entries() const { return lru_.size(); }
   size_t bytes() const { return bytes_; }
-
-  void set_eviction_callback(EvictionCallback cb) { on_evict_ = std::move(cb); }
 
   /// Refreshes the entry's recency and returns its value; nullptr on miss.
   /// The pointer is invalidated by the next Insert or Clear.
@@ -80,16 +70,9 @@ class Lru {
     it->second = lru_.begin();
     bytes_ += bytes;
     while (bytes_ > max_bytes_ && lru_.size() > 1) {
-      // Detach the victim completely — spliced out of the list, index slot
-      // erased, bytes released — before the callback sees it. A callback
-      // that reenters Insert/Clear then operates on a consistent cache and
-      // cannot invalidate the entry being reported out from under us.
-      std::list<Entry> detached;
-      detached.splice(detached.begin(), lru_, std::prev(lru_.end()));
-      Entry& victim = detached.front();
-      bytes_ -= victim.bytes;
-      index_.erase(victim.key);
-      if (on_evict_) on_evict_(victim.key, victim.value, victim.bytes);
+      bytes_ -= lru_.back().bytes;
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
     }
     return true;
   }
@@ -111,7 +94,6 @@ class Lru {
   std::list<Entry> lru_;  // most recently used at the front
   std::unordered_map<K, typename std::list<Entry>::iterator, Hash> index_;
   size_t bytes_ = 0;
-  EvictionCallback on_evict_;
 };
 
 }  // namespace pcde

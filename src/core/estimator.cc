@@ -232,7 +232,10 @@ void IncrementalEstimator::PushUnitBounds(const InstantiatedVariable* unit) {
 }
 
 size_t IncrementalEstimator::MaxAbsorbRank() const {
-  constexpr size_t kDefaultMaxRank = 8;  // HybridParams::max_instantiated_rank
+  // HybridParams::max_instantiated_rank's default. Nothing caps a model's
+  // ranks, so ExtendByEdge restarts the stream when a longer part absorbs
+  // a streamed one.
+  constexpr size_t kDefaultMaxRank = 8;
   return options_.rank_cap > 0 ? options_.rank_cap : kDefaultMaxRank;
 }
 
@@ -300,6 +303,16 @@ Status IncrementalEstimator::ExtendByEdge(roadnet::EdgeId e) {
     if (best != nullptr) {
       chosen = best;
       chosen_start = start;
+      // A part longer than MaxAbsorbRank() can absorb streamed parts, or
+      // the successor whose start fixed the last streamed separator. Then
+      // the stream restarts, and AdvanceStablePrefix re-streams whatever
+      // prefix is stable.
+      if (surviving < applied_ ||
+          (applied_ > 0 && surviving == applied_ &&
+           parts_[surviving].start != start)) {
+        sweeper_ = ChainSweeper(ChainOptionsFor(options_));
+        applied_ = 0;
+      }
       parts_.resize(surviving);  // absorb contained trailing parts
     }
   }

@@ -216,8 +216,9 @@ class IncrementalEstimator {
 
  private:
   /// Parts at positions this far behind the path end can still be absorbed
-  /// by a future higher-rank part; everything earlier is stable and gets
-  /// streamed into the chain sweeper exactly once.
+  /// by a future part of at most this rank; everything earlier is streamed
+  /// into the chain sweeper once. A longer part (a model instantiated
+  /// above the default rank) restarts the stream instead.
   size_t MaxAbsorbRank() const;
   void AdvanceStablePrefix();
   /// First path position NOT yet accounted for by the streamed sweeper

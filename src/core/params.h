@@ -27,17 +27,12 @@ struct HybridParams {
   /// Histogram construction (Sec. 3.1): Auto bucket-count options.
   hist::AutoBucketOptions bucket_options;
 
-  /// Buckets kept in a final 1-D cost distribution.
-  size_t max_result_buckets = 64;
-
   /// Spread of the speed-limit fallback distribution for unit paths with
   /// fewer than beta trajectories: one bucket spanning
   /// [(1-s)*t_limit, (1+s)*t_limit).
   double speed_limit_spread = 0.15;
 
   traj::CostType cost_type = traj::CostType::kTravelTimeSeconds;
-
-  double AlphaSeconds() const { return alpha_minutes * 60.0; }
 };
 
 /// Sentinel interval id for speed-limit fallback variables, which are valid

@@ -37,13 +37,6 @@ QueryCache::QueryCache(QueryCacheOptions options) : options_(options) {
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(per_shard_budget_));
-    // Fires under the owning shard's lock; the counter is atomic because
-    // different shards evict concurrently.
-    shards_.back()->lru.set_eviction_callback(
-        [this](const Key&, std::shared_ptr<const hist::Histogram1D>&,
-               size_t) {
-          evictions_.fetch_add(1, std::memory_order_relaxed);
-        });
   }
   const size_t wanted_bits =
       std::min(options_.max_bytes / kDoorkeeperBytesPerBit, kMaxDoorkeeperBits);
@@ -139,17 +132,23 @@ void QueryCache::Insert(const Key& key, const hist::Histogram1D& result) {
     return;
   }
   Shard& shard = ShardFor(hash);
-  bool inserted;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     // A present key means a concurrent worker inserted the same
     // (deterministic) result between our miss and this insert; Touch then
     // only refreshes recency, skipping the histogram copy entirely.
     if (shard.lru.Touch(key)) return;
-    inserted = shard.lru.Insert(
-        key, std::make_shared<const hist::Histogram1D>(result), bytes);
+    const size_t before = shard.lru.entries();
+    if (!shard.lru.Insert(
+            key, std::make_shared<const hist::Histogram1D>(result), bytes)) {
+      return;
+    }
+    // The insert evicted whatever it did not add. The counter is atomic
+    // because different shards evict concurrently.
+    const size_t evicted = before + 1 - shard.lru.entries();
+    if (evicted > 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
   }
-  if (inserted) insertions_.fetch_add(1, std::memory_order_relaxed);
+  insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 QueryCacheStats QueryCache::stats() const {

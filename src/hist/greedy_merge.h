@@ -1,6 +1,6 @@
-// The greedy cheapest-adjacent-merge loop of hist::Compact and of the
-// flatten kernel's compaction step (hist/flatten.h), which every flatten in
-// the library runs through: merge the adjacent bucket pair whose merge
+// The greedy cheapest-adjacent-merge loop of the flatten kernel's
+// compaction step (hist/flatten.h), which every flatten in the library runs
+// through: merge the adjacent bucket pair whose merge
 // increases the L2 density error the least (MergeCost), until at most
 // `cap` buckets remain.
 //

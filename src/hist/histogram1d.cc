@@ -334,20 +334,6 @@ StatusOr<Histogram1D> FlattenToDisjoint(std::vector<WeightedInterval> parts) {
   return Histogram1D::FromFlattened(sc);
 }
 
-Histogram1D Compact(const Histogram1D& h, size_t max_buckets) {
-  if (h.NumBuckets() <= max_buckets || max_buckets == 0) return h;
-  std::vector<Bucket> bs = h.buckets();
-  // The size-dispatched greedy merge (hist/greedy_merge.h) that the
-  // flatten kernel's compaction step also runs. Its merge sequence is
-  // identical to the full-rescan reference (ties break toward the smaller
-  // left index), pinned by the randomized equivalence test.
-  GreedyMergeScratch scratch;
-  GreedyMergeToCap(&bs, max_buckets, &scratch);
-  auto result = Histogram1D::Make(std::move(bs));
-  assert(result.ok());
-  return std::move(result).value();
-}
-
 StatusOr<Histogram1D> Convolve(const Histogram1D& a, const Histogram1D& b,
                                size_t max_buckets) {
   if (a.empty() || b.empty()) {

@@ -138,7 +138,7 @@ StatusOr<Histogram1D> Convolve(const Histogram1D& a, const Histogram1D& b,
 /// \brief Cost of merging two adjacent buckets into one uniform bucket:
 /// the integrated squared density error (covering any gap between them,
 /// where the old density is 0). The greedy merge (hist/greedy_merge.h) of
-/// Compact and of the flatten kernel's compaction step ranks pairs by it.
+/// the flatten kernel's compaction step ranks pairs by it.
 inline double MergeCost(const Interval& a_range, double a_prob,
                         const Interval& b_range, double b_prob) {
   const double w_merged = b_range.hi - a_range.lo;
@@ -150,11 +150,6 @@ inline double MergeCost(const Interval& a_range, double a_prob,
          (db - d) * (db - d) * b_range.width() +
          d * d * std::max(gap, 0.0);
 }
-
-/// \brief Reduces a histogram to at most `max_buckets` buckets by greedily
-/// merging the adjacent pair whose merge increases the L2 density error
-/// the least (MergeCost).
-Histogram1D Compact(const Histogram1D& h, size_t max_buckets);
 
 /// \brief KL(p || q) in nats between two histograms, computed on the union
 /// refinement of their breakpoints. `q` is smoothed with mass `epsilon`

@@ -3,9 +3,9 @@
 // strategies (blocked argmin and lazy pair heap) must reproduce the
 // reference's merge sequence bit for bit on randomized sum sets —
 // including exact cost ties, where the reference's first-minimum rule
-// (smallest left index) is the contract. This pins the semantics of both
-// hist::Compact and the flatten kernel's compaction step
-// (hist::FlattenAndCompact), which share this loop.
+// (smallest left index) is the contract. This pins the semantics of the
+// flatten kernel's compaction step (hist::FlattenAndCompact), which runs
+// this loop.
 #include <gtest/gtest.h>
 
 #include <vector>

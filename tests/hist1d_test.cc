@@ -625,19 +625,26 @@ TEST(ConvolveTest, RespectsMaxBuckets) {
 }
 
 // ---------------------------------------------------------------------------
-// Compact
+// GreedyMergeToCap: the merge the flatten kernel's compaction step runs
 // ---------------------------------------------------------------------------
 
-TEST(CompactTest, NoOpWhenSmallEnough) {
-  const Histogram1D h = MustMake({{0, 5, 0.4}, {5, 10, 0.6}});
-  EXPECT_EQ(Compact(h, 4).NumBuckets(), 2u);
+Histogram1D MergeToCap(const Histogram1D& h, size_t cap) {
+  std::vector<Bucket> bs = h.buckets();
+  GreedyMergeScratch scratch;
+  GreedyMergeToCap(&bs, cap, &scratch);
+  return MustMake(std::move(bs));
 }
 
-TEST(CompactTest, ReducesToCapAndKeepsMass) {
+TEST(MergeToCapTest, NoOpWhenSmallEnough) {
+  const Histogram1D h = MustMake({{0, 5, 0.4}, {5, 10, 0.6}});
+  EXPECT_EQ(MergeToCap(h, 4).NumBuckets(), 2u);
+}
+
+TEST(MergeToCapTest, ReducesToCapAndKeepsMass) {
   std::vector<Bucket> bs;
   for (int i = 0; i < 32; ++i) bs.emplace_back(i, i + 1, 1.0 / 32);
   const Histogram1D h = MustMake(bs);
-  const Histogram1D c = Compact(h, 8);
+  const Histogram1D c = MergeToCap(h, 8);
   EXPECT_LE(c.NumBuckets(), 8u);
   double total = 0;
   for (const auto& b : c.buckets()) total += b.prob;
@@ -645,11 +652,11 @@ TEST(CompactTest, ReducesToCapAndKeepsMass) {
   EXPECT_NEAR(c.Mean(), h.Mean(), 1e-9);  // uniform merge preserves the mean
 }
 
-TEST(CompactTest, MergesSimilarDensityFirst) {
+TEST(MergeToCapTest, MergesSimilarDensityFirst) {
   // Buckets: two equal-density on the left, a spike on the right. The
   // spike must survive compaction to 2 buckets.
   const Histogram1D h = MustMake({{0, 10, 0.2}, {10, 20, 0.2}, {20, 21, 0.6}});
-  const Histogram1D c = Compact(h, 2);
+  const Histogram1D c = MergeToCap(h, 2);
   ASSERT_EQ(c.NumBuckets(), 2u);
   EXPECT_DOUBLE_EQ(c.bucket(1).range.lo, 20.0);
   EXPECT_NEAR(c.bucket(1).prob, 0.6, 1e-9);

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/chain_estimator.h"
+#include "hist/greedy_merge.h"
 #include "hist/histogram1d.h"
 #include "hist/histogram_nd.h"
 
@@ -239,14 +240,17 @@ TEST_P(SeedSweep, ChainExactOnRandomDecomposableModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Compact: mass and mean conservation under aggressive merging
+// GreedyMergeToCap: mass and mean conservation under aggressive merging
 // ---------------------------------------------------------------------------
 
-TEST_P(SeedSweep, CompactConservesMassAndMean) {
+TEST_P(SeedSweep, GreedyMergeConservesMassAndMean) {
   Rng rng(GetParam() * 7 + 3);
   const Histogram1D h = RandomHistogram(&rng, 6);
   for (size_t cap : {1, 2, 3}) {
-    const Histogram1D c = hist::Compact(h, cap);
+    std::vector<Bucket> bs = h.buckets();
+    hist::GreedyMergeScratch scratch;
+    hist::GreedyMergeToCap(&bs, cap, &scratch);
+    const Histogram1D c = Histogram1D::Make(std::move(bs)).value();
     EXPECT_LE(c.NumBuckets(), cap);
     double total = 0;
     for (const auto& b : c.buckets()) total += b.prob;

@@ -4,7 +4,9 @@
 // parallel root fan-out on a caller-owned pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "baselines/methods.h"
 #include "common/rng.h"
@@ -231,6 +233,98 @@ TEST(RouterBoundTest, NonFiniteBudgetOrDepartureIsInvalid) {
     EXPECT_EQ(router.Route(f.s, f.t, departure, 260.0).status().code(),
               StatusCode::kInvalidArgument)
         << departure;
+  }
+}
+
+/// A 12-edge line v0 -> v12, every edge [10, 20) s in two buckets, with a
+/// unit variable per edge, a correlated pair variable per adjacent pair,
+/// and one all-day variable over the last `rank` edges. A part longer than
+/// the estimator's streaming horizon (8) absorbs parts the incremental
+/// estimator has already streamed.
+struct LongVariableLine {
+  Graph g;
+  std::vector<EdgeId> edges;
+  PathWeightFunction wp;
+
+  explicit LongVariableLine(size_t rank) : wp(BuildModel(rank)) {}
+
+ private:
+  PathWeightFunction BuildModel(size_t rank) {
+    VertexId prev = g.AddVertex(0, 0);
+    for (int k = 0; k < 12; ++k) {
+      const VertexId next = g.AddVertex(150.0 * (k + 1), 0);
+      edges.push_back(g.AddEdge(prev, next, 150.0, 10.0).value());
+      prev = next;
+    }
+    core::WeightFunctionBuilder builder{TimeBinning(30.0)};
+    // Cell weights over `dims` two-bucket dimensions, never zero, so every
+    // separator cell keeps mass, and unequal, so conditioning matters.
+    auto add = [&](size_t start, size_t dims) {
+      std::vector<HistogramND::HyperBucket> cells;
+      double total = 0.0;
+      for (uint32_t bits = 0; bits < (1u << dims); ++bits) {
+        HistogramND::HyperBucket cell;
+        for (size_t d = 0; d < dims; ++d) cell.idx.push_back((bits >> d) & 1);
+        cell.prob = 1.0 + __builtin_popcount(bits ^ (bits >> 1)) +
+                    (bits & 1 ? 0.5 : 0.0);
+        total += cell.prob;
+        cells.push_back(std::move(cell));
+      }
+      for (HistogramND::HyperBucket& cell : cells) cell.prob /= total;
+      InstantiatedVariable v;
+      v.path = Path(std::vector<EdgeId>(edges.begin() + start,
+                                        edges.begin() + start + dims));
+      v.interval = core::kAllDayInterval;
+      v.joint = HistogramND::Make(std::vector<std::vector<double>>(
+                                      dims, std::vector<double>{10, 15, 20}),
+                                  std::move(cells))
+                    .value();
+      builder.Add(std::move(v));
+    };
+    for (size_t k = 0; k < 12; ++k) add(k, 1);
+    for (size_t k = 0; k + 1 < 12; ++k) add(k, 2);
+    add(12 - rank, rank);  // replaces the last pair when rank == 2
+    return std::move(builder).Freeze();
+  }
+};
+
+TEST(RouterLongVariableTest, IncrementalAndRoutedAnswersMatchTheBatchEstimate) {
+  for (size_t rank : {2, 8, 9, 10, 11, 12}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    LongVariableLine f(rank);
+    const double depart = 8 * 3600.0;
+    auto expected = core::HybridEstimator(f.wp).EstimateCostDistribution(
+        Path(f.edges), depart);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    core::IncrementalEstimator incremental(f.wp, EstimateOptions(),
+                                           f.edges[0], depart);
+    for (size_t k = 1; k < f.edges.size(); ++k) {
+      ASSERT_TRUE(incremental.ExtendByEdge(f.edges[k]).ok());
+    }
+    auto streamed = incremental.CurrentDistribution();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    const Histogram1D& got = streamed.value();
+    const Histogram1D& want = expected.value();
+    EXPECT_EQ(got.NumBuckets(), want.NumBuckets());
+    for (size_t b = 0; b < std::min(got.NumBuckets(), want.NumBuckets()); ++b) {
+      EXPECT_EQ(got.bucket(b).range, want.bucket(b).range);
+      EXPECT_EQ(got.bucket(b).prob, want.bucket(b).prob);
+    }
+    EXPECT_EQ(want.Min(), 120.0);
+    EXPECT_EQ(want.Max(), 240.0);
+
+    RouterConfig pruned;
+    pruned.pruning.incumbent = true;
+    pruned.pruning.dominance = true;
+    pruned.pruning.cheap_first = true;
+    for (const RouterConfig& config : {RouterConfig(), pruned}) {
+      DfsStochasticRouter router(f.g, f.wp, EstimateOptions(), config);
+      auto routed = router.Route(f.g.edge(f.edges.front()).from,
+                                 f.g.edge(f.edges.back()).to, depart, 170.0);
+      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+      EXPECT_EQ(routed.value().best_path, Path(f.edges));
+      EXPECT_EQ(routed.value().best_probability, want.ProbWithin(170.0));
+    }
   }
 }
 
