@@ -336,8 +336,8 @@ void ServeDirect(const ServingBench& s, const core::HybridEstimator& estimator,
 /// The batch layer over the workload queries (end-to-end per query, so
 /// request resolution + OI + JC + MC + summary, amortized across the
 /// pool), served through the Engine, one series per pool size.
-/// ops_per_sec is wall-clock batch throughput; p50/p99 are the responses'
-/// serve_seconds, recorded per request inside the fan-out.
+/// ops_per_sec is wall-clock batch throughput; p50 and the tail are the
+/// responses' serve_seconds, recorded per request inside the fan-out.
 void EngineBatchSeries(const ServingBench& s,
                        std::vector<KernelSeries>* series) {
   {
@@ -610,7 +610,7 @@ void RefreshSeries(const ServingBench& s, const std::string& alt,
   // Enough batches that several epochs publish inside the measured window
   // (a swap costs ~swap_publish p50, so two batches would see only a
   // transition or two). The mixed-generation latencies are the point: p50
-  // reflects whichever generation answered, p99 carries the churn
+  // reflects whichever generation answered, the tail carries the churn
   // interference — and the run aborts on any failed response, the
   // zero-downtime requirement.
   const int refresh_reps = std::max(6, s.reps / 4);
@@ -993,10 +993,15 @@ ModelSeries MeasureModelSeries(const Workload& w) {
 
 void PrintSeries(const std::vector<KernelSeries>& series) {
   for (const KernelSeries& s : series) {
-    std::printf("  %-32s %8zu its  %10.1f ops/s  p50 %8.3f ms  p99 %8.3f ms"
-                "  max_states %zu  jc %.3fs  mc %.3fs",
-                s.name.c_str(), s.iterations, s.ops_per_sec, s.p50_ms,
-                s.p99_ms, s.max_states, s.jc_seconds, s.mc_seconds);
+    std::printf("  %-32s %8zu its  %10.1f ops/s  p50 %8.3f ms",
+                s.name.c_str(), s.iterations, s.ops_per_sec, s.p50_ms);
+    if (s.tail_level > 0.0) {
+      std::printf("  p%02.0f %8.3f ms", s.tail_level * 100.0, s.tail_ms);
+    } else {
+      std::printf("  %-14s", "(no tail)");
+    }
+    std::printf("  max_states %zu  jc %.3fs  mc %.3fs", s.max_states,
+                s.jc_seconds, s.mc_seconds);
     if (s.cache_hits + s.cache_misses > 0) {
       std::printf("  cache %llu/%llu hits",
                   static_cast<unsigned long long>(s.cache_hits),

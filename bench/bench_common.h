@@ -191,17 +191,30 @@ inline std::string Mb(size_t bytes) {
 // the schema). One KernelSeries per measured configuration.
 // ---------------------------------------------------------------------------
 
+/// Tail levels a series may record, highest first. A timing's tail is the
+/// highest of these with at least kMinSamplesBeyondTail samples above it;
+/// below that the level names one or two slow samples, not a tail.
+inline constexpr double kTailLevels[] = {0.99, 0.95, 0.90, 0.75};
+inline constexpr size_t kMinSamplesBeyondTail = 10;
+
 /// Latency/throughput summary of one measured kernel configuration.
 /// For batch series, ops_per_sec is wall-clock batch throughput while
-/// p50_ms/p99_ms are per-query latencies inside the batch (each response's
-/// serve_seconds), and the cache_* fields carry the series' query-cache
-/// traffic (all zero when no cache is attached).
+/// p50_ms and the tail are per-query latencies inside the batch (each
+/// response's serve_seconds), and the cache_* fields carry the series'
+/// query-cache traffic (all zero when no cache is attached).
 struct KernelSeries {
   std::string name;        // e.g. "chain_sweep", "chain_sweep_reference"
   size_t iterations = 0;   // estimations measured
   double ops_per_sec = 0.0;
   double p50_ms = 0.0;
-  double p99_ms = 0.0;
+  /// The tail level (one of kTailLevels) and the latency there; 0 and 0
+  /// when no level has enough samples above it (always so below 41
+  /// samples), and the series records its median alone.
+  double tail_level = 0.0;
+  double tail_ms = 0.0;
+  /// Every per-op latency (ms), sorted: the tail headlines compare two
+  /// series at the level both support.
+  std::vector<double> sorted_ms;
   size_t max_states = 0;   // peak sweeper states over the workload
   double jc_seconds = 0.0;  // total joint-computation (sweep) phase
   double mc_seconds = 0.0;  // total marginalization (finalize) phase
@@ -214,7 +227,13 @@ struct KernelSeries {
   uint64_t dominance_pruned = 0;
   uint64_t estimator_clones = 0;
 
-  /// Summarizes raw per-op latencies (seconds); sorts its input.
+  /// The sorted latency at level q (0 for an empty series).
+  double QuantileMs(double q) const {
+    if (sorted_ms.empty()) return 0.0;
+    return sorted_ms[QuantileIndex(q, sorted_ms.size())];
+  }
+
+  /// Summarizes raw per-op latencies (seconds).
   static KernelSeries FromLatencies(std::string series_name,
                                     std::vector<double> latencies_s,
                                     size_t max_states_seen) {
@@ -227,15 +246,23 @@ struct KernelSeries {
     double total = 0.0;
     for (double v : latencies_s) total += v;
     out.ops_per_sec = total > 0.0 ? static_cast<double>(latencies_s.size()) / total : 0.0;
-    auto quantile = [&latencies_s](double q) {
-      const size_t idx = std::min(
-          latencies_s.size() - 1,
-          static_cast<size_t>(q * static_cast<double>(latencies_s.size())));
-      return latencies_s[idx] * 1e3;
-    };
-    out.p50_ms = quantile(0.50);
-    out.p99_ms = quantile(0.99);
+    out.sorted_ms.reserve(latencies_s.size());
+    for (double v : latencies_s) out.sorted_ms.push_back(v * 1e3);
+    out.p50_ms = out.QuantileMs(0.50);
+    const size_t n = latencies_s.size();
+    for (double level : kTailLevels) {
+      if (n - 1 - QuantileIndex(level, n) >= kMinSamplesBeyondTail) {
+        out.tail_level = level;
+        out.tail_ms = out.QuantileMs(level);
+        break;
+      }
+    }
     return out;
+  }
+
+ private:
+  static size_t QuantileIndex(double q, size_t n) {
+    return std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
   }
 };
 
@@ -290,16 +317,21 @@ inline bool WriteChainBenchJson(const std::string& path,
         cache_total > 0
             ? static_cast<double>(s.cache_hits) / static_cast<double>(cache_total)
             : 0.0;
+    // A tail only where enough samples lie beyond it (kTailLevels).
+    const std::string tail =
+        s.tail_level > 0.0 ? ", \"tail_level\": " + num(s.tail_level) +
+                                 ", \"tail_ms\": " + num(s.tail_ms)
+                           : "";
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"iterations\": %zu, "
-                 "\"ops_per_sec\": %s, \"p50_ms\": %s, \"p99_ms\": %s, "
+                 "\"ops_per_sec\": %s, \"p50_ms\": %s%s, "
                  "\"max_states\": %zu, \"jc_seconds\": %s, "
                  "\"mc_seconds\": %s, \"cache_hits\": %llu, "
                  "\"cache_misses\": %llu, \"cache_hit_rate\": %s, "
                  "\"bound_pruned\": %llu, \"incumbent_pruned\": %llu, "
                  "\"dominance_pruned\": %llu, \"estimator_clones\": %llu}%s\n",
                  s.name.c_str(), s.iterations, num(s.ops_per_sec).c_str(),
-                 num(s.p50_ms).c_str(), num(s.p99_ms).c_str(), s.max_states,
+                 num(s.p50_ms).c_str(), tail.c_str(), s.max_states,
                  num(s.jc_seconds).c_str(), num(s.mc_seconds).c_str(),
                  static_cast<unsigned long long>(s.cache_hits),
                  static_cast<unsigned long long>(s.cache_misses),
@@ -399,9 +431,17 @@ inline bool WriteChainBenchJson(const std::string& path,
     std::fprintf(f, ",\n  \"swap_verified_publish_seconds\": %s",
                  num(swap_verified->p50_ms / 1e3).c_str());
   }
-  if (steady != nullptr && during_swap != nullptr && steady->p99_ms > 0.0) {
-    std::fprintf(f, ",\n  \"estimate_during_swap_p99_vs_steady\": %s",
-                 num(during_swap->p99_ms / steady->p99_ms).c_str());
+  // Compared at the highest tail level both series support.
+  if (steady != nullptr && during_swap != nullptr) {
+    const double level = std::min(steady->tail_level, during_swap->tail_level);
+    if (level > 0.0 && steady->QuantileMs(level) > 0.0) {
+      std::fprintf(f, ",\n  \"estimate_during_swap_tail_level\": %s",
+                   num(level).c_str());
+      std::fprintf(f, ",\n  \"estimate_during_swap_tail_vs_steady\": %s",
+                   num(during_swap->QuantileMs(level) /
+                       steady->QuantileMs(level))
+                       .c_str());
+    }
   }
   // Overload headline numbers: how far past its deadline a cancelled
   // estimate runs relative to the same query unconstrained (cooperative

@@ -40,12 +40,15 @@
 #      serving and query cache suites — the lock-order/data-race angle on
 #      the same cancellation and shedding machinery plus the
 #      shared-incumbent / strided-budget atomics, the root fan-out's pool
-#      threads reading Route's per-call bound vectors, the armed-injector /
-#      retrying-swap paths, shard attach/evict publishing epochs while
-#      requests pin them, and the query cache's lock-free doorkeeper table,
-#      which every miss writes from every thread. -O1 for the reason step 1
-#      uses it: query_cache_test's fixture instantiates a 3000-trip model,
-#      which takes ~6 min under TSan at -O0 and ~50 s at -O1 (4-vCPU host).
+#      threads reading Route's per-call bound vectors, concurrent first
+#      Routes of one router racing to build its graph components once
+#      (routing_test's FirstRoutesOfAFreshRouterAgreeAcrossThreads), the
+#      armed-injector / retrying-swap paths, shard attach/evict publishing
+#      epochs while requests pin them, and the query cache's lock-free
+#      doorkeeper table, which every miss writes from every thread. -O1 for
+#      the reason step 1 uses it: query_cache_test's fixture instantiates
+#      a 3000-trip model, which takes ~6 min under TSan at -O0 and ~50 s at
+#      -O1 (4-vCPU host).
 #   3. RelWithDebInfo + UBSan running the whole ctest suite; the first
 #      report aborts its test (UBSAN_OPTIONS=halt_on_error=1), so any
 #      undefined behaviour fails the gate.

@@ -246,50 +246,11 @@ void Dfs(SearchContext* ctx, const IncrementalEstimator& estimator,
   }
 }
 
-/// Makes a completion bound searched only out to `budget` read like the
-/// full reverse tree wherever the search compares it with the budget.
-/// Entries at or below the budget are already exact. The bounded search
-/// left every other vertex at a tentative cost above the budget or, where
-/// it never got, at kInfCost, which then no longer means "cannot reach the
-/// destination". A heap-free reverse reachability sweep from the vertices
-/// it stopped at restores that meaning: every vertex that can reach the
-/// destination reads as the smallest cost above the budget the search
-/// met, which still bounds its true cost from below, and kInfCost is left
-/// only where the destination is unreachable. Graph::AddEdge admits only
-/// finite lengths and speed limits, so every edge has a finite weight and
-/// reachability is exactly what the full search would have found. When
-/// the search ran out of vertices before the budget, nothing lies above
-/// it and the sweep does nothing.
-void SettleBeyondBudget(const Graph& graph, double budget,
-                        std::vector<double>* bound) {
-  std::vector<double>& b = *bound;
-  double beyond = roadnet::kInfCost;
-  std::vector<VertexId> stack;
-  for (VertexId v = 0; v < b.size(); ++v) {
-    if (b[v] > budget && b[v] != roadnet::kInfCost) {
-      beyond = std::min(beyond, b[v]);
-      stack.push_back(v);
-    }
-  }
-  for (VertexId v : stack) b[v] = beyond;
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    for (EdgeId e : graph.InEdges(v)) {
-      const VertexId u = graph.edge(e).from;
-      if (b[u] != roadnet::kInfCost) continue;
-      b[u] = beyond;
-      stack.push_back(u);
-    }
-  }
-}
-
 }  // namespace
 
-StatusOr<RouteResult> DfsStochasticRouter::Route(
-    VertexId from, VertexId to, double departure_time, double budget_seconds,
-    const CancelToken* cancel, const PruningOptions* pruning_override) const {
-  if (from >= graph_.NumVertices() || to >= graph_.NumVertices()) {
+Status CheckRouteArguments(const Graph& graph, VertexId from, VertexId to,
+                           double departure_time, double budget_seconds) {
+  if (from >= graph.NumVertices() || to >= graph.NumVertices()) {
     return Status::InvalidArgument("Route: unknown vertex");
   }
   if (from == to) return Status::InvalidArgument("Route: from == to");
@@ -299,53 +260,93 @@ StatusOr<RouteResult> DfsStochasticRouter::Route(
     return Status::InvalidArgument(
         "Route: budget and departure time must be finite");
   }
+  return Status::OK();
+}
+
+std::vector<double> CompletionBound(
+    const Graph& graph, const roadnet::StronglyConnectedComponents& components,
+    VertexId to, const roadnet::EdgeWeightFn& weight, double budget) {
+  std::vector<double> bound =
+      roadnet::ReverseShortestPathTree(graph, to, weight, budget);
+  // Where the budget stopped the search, it stopped at the smallest
+  // tentative cost above the budget, and a vertex it never reached may
+  // still reach `to` through the vertices it left at tentative costs. Where
+  // no tentative cost is left, the search ran out of vertices first, and
+  // kInfCost already means unreachable.
+  double beyond = roadnet::kInfCost;
+  for (double b : bound) {
+    if (b > budget && b < beyond) beyond = b;
+  }
+  if (beyond == roadnet::kInfCost) return bound;
+  const std::vector<uint8_t> reaches = components.ComponentsReaching(to);
+  for (VertexId v = 0; v < bound.size(); ++v) {
+    if (bound[v] > budget) {
+      bound[v] = reaches[components.ComponentOf(v)] ? beyond
+                                                    : roadnet::kInfCost;
+    }
+  }
+  return bound;
+}
+
+const roadnet::StronglyConnectedComponents& DfsStochasticRouter::Components()
+    const {
+  std::call_once(components_once_, [this] { components_.emplace(graph_); });
+  return *components_;
+}
+
+StatusOr<RouteResult> DfsStochasticRouter::Route(
+    VertexId from, VertexId to, double departure_time, double budget_seconds,
+    const CancelToken* cancel, const PruningOptions* pruning_override) const {
+  PCDE_RETURN_NOT_OK(
+      CheckRouteArguments(graph_, from, to, departure_time, budget_seconds));
   if (CancelToken::Check(cancel)) return CancelToken::StatusOf(cancel);
+  const roadnet::StronglyConnectedComponents& components = Components();
+  if (components.NumVertices() != graph_.NumVertices() ||
+      components.NumEdges() != graph_.NumEdges()) {
+    return Status::FailedPrecondition(
+        "Route: the graph grew after the router's first route");
+  }
 
   const PruningOptions& prune =
       pruning_override != nullptr ? *pruning_override : config_.pruning;
   const bool use_oracle = (prune.incumbent || prune.dominance) &&
                           oracle_weight_seconds_.size() == graph_.NumEdges();
 
-  // Admissible completion bound: reverse Dijkstra on scaled free-flow
-  // times. Both completion bounds are searched only out to the budget:
-  // support minima are travel times, never negative, so the search prunes
-  // every vertex beyond the budget whatever its exact bound, and
-  // SettleBeyondBudget tells those apart from vertices that cannot reach
-  // the destination. With the oracle driving the search, this bound is
-  // read only at `from`, so only an unreached `from` needs the sweep.
-  auto optimistic = [](const roadnet::Edge& e) {
-    return e.FreeFlowSeconds() * kLowerBoundFactor;
-  };
-  std::vector<double> lower_bound = roadnet::ReverseShortestPathTree(
-      graph_, to, optimistic, budget_seconds);
-  if (!use_oracle || lower_bound[from] == roadnet::kInfCost) {
-    SettleBeyondBudget(graph_, budget_seconds, &lower_bound);
-  }
-  if (lower_bound[from] == roadnet::kInfCost) {
-    return Status::NotFound("Route: destination unreachable");
-  }
-  if (lower_bound[from] > budget_seconds) {
-    return Status::NotFound("Route: budget infeasible even at free flow");
-  }
-
-  // With incumbent or dominance pruning on, the search swaps in the
-  // shared lower-bound oracle (constructor): the same bounded reverse
-  // Dijkstra over per-edge weights that fold in the model's unit support
-  // minima. The tighter bound stays admissible, so the extra cuts remove
-  // only prefixes whose every completion exceeds the budget with certainty
+  // With incumbent or dominance pruning on, the search reads the shared
+  // lower-bound oracle (constructor): the same bounded reverse Dijkstra
+  // over per-edge weights that fold in the model's unit support minima.
+  // The tighter bound stays admissible, so the extra cuts remove only
+  // prefixes whose every completion exceeds the budget with certainty
   // (arrival probability exactly zero) — the returned route and its
-  // probability are unchanged. The feasibility preconditions above stay
-  // on the baseline tree so NotFound reporting matches the plain search.
-  std::vector<double> oracle_bound;
+  // probability are unchanged.
+  std::vector<double> search_bound;
   if (use_oracle) {
-    oracle_bound = roadnet::ReverseShortestPathTree(
-        graph_, to,
+    search_bound = CompletionBound(
+        graph_, components, to,
         [this](const roadnet::Edge& e) { return oracle_weight_seconds_[e.id]; },
         budget_seconds);
-    SettleBeyondBudget(graph_, budget_seconds, &oracle_bound);
   }
-  const std::vector<double>& search_bound =
-      use_oracle ? oracle_bound : lower_bound;
+  // The feasibility checks read the admissible free-flow bound, so
+  // NotFound reporting matches the plain search. Each oracle weight is the
+  // max of the same free-flow bound and a model minimum, and rounding is
+  // monotone, so an origin the oracle settled within the budget has a
+  // free-flow bound within it too: both checks would pass, and that tree
+  // is not built.
+  if (!use_oracle || search_bound[from] > budget_seconds) {
+    std::vector<double> lower_bound = CompletionBound(
+        graph_, components, to,
+        [](const roadnet::Edge& e) {
+          return e.FreeFlowSeconds() * kLowerBoundFactor;
+        },
+        budget_seconds);
+    if (lower_bound[from] == roadnet::kInfCost) {
+      return Status::NotFound("Route: destination unreachable");
+    }
+    if (lower_bound[from] > budget_seconds) {
+      return Status::NotFound("Route: budget infeasible even at free flow");
+    }
+    if (!use_oracle) search_bound = std::move(lower_bound);
+  }
 
   // Root fan-out: the DFS subtrees under distinct first edges are
   // independent (each branch owns its visited set), so they run as

@@ -10,16 +10,28 @@
 // Each call searches that reverse Dijkstra only out to the budget: a
 // vertex beyond it is pruned whatever its exact bound, so the search
 // needs exact bounds only within the budget, plus, beyond it, whether a
-// vertex can reach the destination at all.
+// vertex can reach the destination at all. Reachability depends only on
+// the graph, so the router reads it from the graph's strongly connected
+// components, computed once per router on its first Route.
+//
+// A call pays for one bounded tree when the oracle drives the search (see
+// oracle_weight_seconds_) and settles the origin within the budget: every
+// oracle weight is at least the free-flow bound's, so the free-flow tree
+// would find the origin feasible too, and it runs only when the oracle
+// leaves the origin beyond the budget, to tell the two NotFound cases
+// apart.
 #pragma once
 
 #include <cstddef>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/cancel_token.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/estimator.h"
+#include "roadnet/components.h"
 #include "roadnet/graph.h"
 #include "roadnet/shortest_path.h"
 #include "routing/pruning.h"
@@ -64,10 +76,32 @@ struct RouteResult {
   uint64_t estimator_clones = 0;
 };
 
+/// \brief The argument checks of DfsStochasticRouter::Route, which runs
+/// them first: InvalidArgument for a vertex outside `graph`, `from == to`,
+/// or a budget or departure time that is not finite. A caller can run them
+/// before paying for anything the search needs (serving::Engine does,
+/// before it attaches a manifest's shards).
+Status CheckRouteArguments(const roadnet::Graph& graph, roadnet::VertexId from,
+                           roadnet::VertexId to, double departure_time,
+                           double budget_seconds);
+
+/// \brief The completion bound Route's search reads: the reverse Dijkstra
+/// into `to` over `weight` (roadnet::ReverseShortestPathTree), searched
+/// only out to `budget`. Entries at or below the budget are the unbounded
+/// tree's, bit for bit. Every other vertex that can reach `to` reads as
+/// the smallest cost above the budget the search met, which is above the
+/// budget and still bounds its true cost from below; kInfCost is left only
+/// where `to` is unreachable. `components` must be `graph`'s.
+std::vector<double> CompletionBound(
+    const roadnet::Graph& graph,
+    const roadnet::StronglyConnectedComponents& components,
+    roadnet::VertexId to, const roadnet::EdgeWeightFn& weight, double budget);
+
 /// \brief Probabilistic budget routing with a pluggable cost-distribution
 /// estimator (LB / HP / OD — Fig. 18 compares them by total routing time).
 /// The view must cover every edge of `graph`: a manifest view needs all of
-/// its shards attached.
+/// its shards attached. `graph` must outlive the router and must not grow
+/// after its first Route.
 class DfsStochasticRouter {
  public:
   DfsStochasticRouter(const roadnet::Graph& graph, core::ModelView view,
@@ -76,8 +110,9 @@ class DfsStochasticRouter {
 
   /// Finds the path from `from` to `to`, departing at `departure_time`,
   /// with the highest probability of total travel time <= `budget_seconds`.
-  /// Returns NotFound when no path can make the budget, and
-  /// InvalidArgument when the budget or the departure time is not finite.
+  /// Returns NotFound when no path can make the budget, InvalidArgument as
+  /// CheckRouteArguments says, and FailedPrecondition when the graph grew
+  /// after the first call.
   ///
   /// `cancel` (optional) is polled once per DFS expansion across every root
   /// branch; a tripped token makes the whole search unwind with the token's
@@ -94,6 +129,11 @@ class DfsStochasticRouter {
                                   nullptr) const;
 
  private:
+  /// The graph's strongly connected components, built on the first Route
+  /// rather than in the constructor: serving::Engine builds a router on
+  /// every model swap, and a swap should not pay for a graph fact.
+  const roadnet::StronglyConnectedComponents& Components() const;
+
   const roadnet::Graph& graph_;
   core::ModelView view_;
   core::EstimateOptions estimate_options_;
@@ -102,10 +142,14 @@ class DfsStochasticRouter {
   /// the larger of factor * free-flow and the minimum support cost over
   /// the edge's unit variables — still admissible, usually much tighter.
   /// Route() runs its reverse Dijkstra over these weights, out to the
-  /// budget, when incumbent or dominance pruning is on; cuts from the
-  /// tighter bound remove only zero-probability completions, so route
-  /// quality is unchanged.
+  /// budget, when incumbent or dominance pruning is on, and runs it first:
+  /// each weight is at least the free-flow bound's, so where this tree
+  /// settles the origin within the budget the free-flow tree would too,
+  /// and Route skips it. Cuts from the tighter bound remove only
+  /// zero-probability completions, so route quality is unchanged.
   std::vector<double> oracle_weight_seconds_;
+  mutable std::once_flag components_once_;
+  mutable std::optional<roadnet::StronglyConnectedComponents> components_;
 };
 
 }  // namespace routing

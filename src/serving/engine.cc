@@ -705,6 +705,10 @@ StatusOr<RouteResponse> Engine::Route(const RouteRequest& request) const {
         "Engine::Route needs EngineOptions::graph");
   }
   PCDE_RETURN_NOT_OK(CheckDeparture(request.departure_time));
+  // A request the router would reject attaches nothing.
+  PCDE_RETURN_NOT_OK(routing::CheckRouteArguments(
+      *options_.graph, request.from, request.to, request.departure_time,
+      request.budget_seconds));
   if (epoch->router == nullptr) {
     // A manifest with shards detached: the search may touch any edge, so
     // it needs them all.

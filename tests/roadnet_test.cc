@@ -1,8 +1,12 @@
 // Unit tests for src/roadnet: graph construction, the paper's path algebra
-// (Sec. 2.1 examples), generators, spatial index, and shortest paths.
+// (Sec. 2.1 examples), generators, spatial index, shortest paths, and
+// strongly connected components.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -11,6 +15,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "one_way_graph.h"
+#include "roadnet/components.h"
 #include "roadnet/generators.h"
 #include "roadnet/graph.h"
 #include "roadnet/path.h"
@@ -519,6 +525,80 @@ TEST(ShortestPathTest, BoundedTreesMatchUnboundedWithinMaxCost) {
           ReverseShortestPathTree(p.g, root, weight, max_cost), reverse,
           max_cost);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Strongly connected components
+// ---------------------------------------------------------------------------
+
+/// The components of `g` against breadth-first reachability from every
+/// destination: a component reaches `to` exactly where its vertices do, two
+/// vertices share a component exactly when each reaches the other, and
+/// every edge between components runs from the higher number to the lower.
+void ExpectComponentsMatchReachability(const Graph& g,
+                                       const StronglyConnectedComponents& scc) {
+  ASSERT_EQ(scc.NumVertices(), g.NumVertices());
+  ASSERT_EQ(scc.NumEdges(), g.NumEdges());
+  std::vector<std::vector<bool>> reaches_to;
+  for (VertexId to = 0; to < g.NumVertices(); ++to) {
+    reaches_to.push_back(CanReach(g, to));
+    const std::vector<uint8_t> marks = scc.ComponentsReaching(to);
+    ASSERT_EQ(marks.size(), scc.NumComponents());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ(marks[scc.ComponentOf(v)] == 1, reaches_to[to][v])
+          << "vertex " << v << " to " << to;
+    }
+  }
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    ASSERT_LT(scc.ComponentOf(u), scc.NumComponents());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ(scc.ComponentOf(u) == scc.ComponentOf(v),
+                reaches_to[v][u] && reaches_to[u][v])
+          << u << " and " << v;
+    }
+  }
+  for (const Edge& e : g.edges()) {
+    EXPECT_GE(scc.ComponentOf(e.from), scc.ComponentOf(e.to)) << e.id;
+  }
+}
+
+TEST(ComponentsTest, MatchBreadthFirstReachabilityOnOneWayGraphs) {
+  size_t multi_vertex_components = 0;
+  size_t single_vertex_components = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph g = MakeOneWayGraph(seed);
+    const StronglyConnectedComponents scc(g);
+    ExpectComponentsMatchReachability(g, scc);
+    std::vector<size_t> sizes(scc.NumComponents(), 0);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ++sizes[scc.ComponentOf(v)];
+    }
+    for (size_t size : sizes) {
+      ++(size > 1 ? multi_vertex_components : single_vertex_components);
+    }
+    for (VertexId v = kOneWayVertices - kOneWayDeadEnds; v < kOneWayVertices;
+         ++v) {
+      ASSERT_TRUE(g.OutEdges(v).empty());
+      EXPECT_EQ(sizes[scc.ComponentOf(v)], 1u);
+    }
+  }
+  // The graphs have the shapes the test is for: several strongly connected
+  // rings, and singletons beside them.
+  EXPECT_GE(multi_vertex_components, 16u);
+  EXPECT_GE(single_vertex_components, 8u * kOneWayDeadEnds);
+}
+
+TEST(ComponentsTest, CityAIsOneComponent) {
+  const Graph g = MakeCity(CityAConfig());
+  const StronglyConnectedComponents scc(g);
+  EXPECT_EQ(scc.NumComponents(), 1u);
+  for (VertexId to : {0u, 42u, 675u}) {
+    EXPECT_EQ(scc.ComponentsReaching(to), std::vector<uint8_t>{1});
+    const std::vector<bool> reach = CanReach(g, to);
+    EXPECT_EQ(std::count(reach.begin(), reach.end(), true),
+              static_cast<std::ptrdiff_t>(g.NumVertices()));
   }
 }
 

@@ -1,18 +1,24 @@
 // Tests for the DFS stochastic router (Sec. 4.3 / Fig. 18): probability
 // maximization under a travel-time budget, risk-aware path choice (the
-// Fig. 1(a) scenario), pruning, estimator interchangeability, and the
-// parallel root fan-out on a caller-owned pool.
+// Fig. 1(a) scenario), pruning, the completion bounds on one-way graphs,
+// estimator interchangeability, and the parallel root fan-out on a
+// caller-owned pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "baselines/methods.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/instantiation.h"
 #include "hist/histogram_nd.h"
+#include "one_way_graph.h"
+#include "roadnet/components.h"
 #include "roadnet/generators.h"
 #include "routing/stochastic_router.h"
 #include "traj/store.h"
@@ -236,6 +242,146 @@ TEST(RouterBoundTest, NonFiniteBudgetOrDepartureIsInvalid) {
   }
 }
 
+/// Unit variables spanning [1, 1.2] x free flow on every edge of `g`, so the
+/// lower-bound oracle's weight is the free-flow time, above the free-flow
+/// bound's 0.8 x free flow.
+PathWeightFunction FreeFlowModel(const Graph& g) {
+  core::WeightFunctionBuilder builder{TimeBinning(30.0)};
+  for (const roadnet::Edge& e : g.edges()) {
+    const double free_flow = e.FreeFlowSeconds();
+    InstantiatedVariable v;
+    v.path = Path({e.id});
+    v.interval = core::kAllDayInterval;
+    v.joint = HistogramND::FromHistogram1D(
+        Histogram1D::Make({{free_flow, 1.2 * free_flow, 1.0}}).value());
+    v.from_speed_limit = true;
+    builder.Add(std::move(v));
+  }
+  return std::move(builder).Freeze();
+}
+
+TEST(RouterBoundTest, CompletionBoundsMatchTheFullTreeAndReachability) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph g = roadnet::MakeOneWayGraph(seed);
+    const roadnet::StronglyConnectedComponents components(g);
+    ASSERT_GT(components.NumComponents(), 1u);
+    Rng rng(seed);
+    std::vector<double> scale(g.NumEdges());
+    for (double& s : scale) s = rng.Uniform(0.8, 1.5);
+    const roadnet::EdgeWeightFn weights[] = {
+        [](const roadnet::Edge& e) { return e.FreeFlowSeconds() * 0.8; },
+        [&scale](const roadnet::Edge& e) {
+          return e.FreeFlowSeconds() * scale[e.id];
+        }};
+    size_t beyond_reachable = 0;
+    size_t beyond_unreachable = 0;
+    for (const roadnet::EdgeWeightFn& weight : weights) {
+      for (VertexId to = 0; to < g.NumVertices(); ++to) {
+        const std::vector<double> full =
+            roadnet::ReverseShortestPathTree(g, to, weight);
+        const std::vector<bool> reach = roadnet::CanReach(g, to);
+        for (double budget : {-1.0, 0.0, 20.0, 60.0, 150.0, 400.0, 1e6}) {
+          const std::vector<double> bound =
+              CompletionBound(g, components, to, weight, budget);
+          ASSERT_EQ(bound.size(), full.size());
+          for (VertexId v = 0; v < g.NumVertices(); ++v) {
+            if (full[v] <= budget || bound[v] <= budget) {
+              EXPECT_EQ(bound[v], full[v])
+                  << "vertex " << v << " to " << to << " budget " << budget;
+              continue;
+            }
+            EXPECT_GT(bound[v], budget) << "vertex " << v << " to " << to;
+            EXPECT_LE(bound[v], full[v]) << "vertex " << v << " to " << to;
+            EXPECT_EQ(bound[v] != roadnet::kInfCost, reach[v])
+                << "vertex " << v << " to " << to << " budget " << budget;
+            ++(reach[v] ? beyond_reachable : beyond_unreachable);
+          }
+        }
+      }
+    }
+    EXPECT_GT(beyond_reachable, 0u);
+    EXPECT_GT(beyond_unreachable, 0u);
+  }
+}
+
+/// Every route of a one-way graph, plain and with all pruners, against
+/// reference searches: "destination unreachable" exactly where
+/// breadth-first search finds no path, "budget infeasible" exactly where
+/// the full free-flow tree puts the origin beyond the budget, and
+/// otherwise the same answer from both searches. At 0.9 x the free-flow
+/// time the oracle leaves the origin beyond the budget while the free-flow
+/// bound does not, so the pruned search falls back to the free-flow tree.
+TEST(RouterBoundTest, OneWayRoutesMatchTheReference) {
+  RouterConfig pruned;
+  pruned.pruning.incumbent = true;
+  pruned.pruning.dominance = true;
+  pruned.pruning.cheap_first = true;
+  const PruningOptions plain;
+  const auto free_flow_bound = [](const roadnet::Edge& e) {
+    return e.FreeFlowSeconds() * 0.8;
+  };
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph g = roadnet::MakeOneWayGraph(seed);
+    const PathWeightFunction wp = FreeFlowModel(g);
+    const DfsStochasticRouter router(g, wp, EstimateOptions(), pruned);
+    size_t unreachable = 0;
+    size_t infeasible = 0;
+    size_t oracle_beyond = 0;
+    size_t routed = 0;
+    for (VertexId to = 0; to < g.NumVertices(); ++to) {
+      const std::vector<bool> reach = roadnet::CanReach(g, to);
+      const std::vector<double> lower =
+          roadnet::ReverseShortestPathTree(g, to, free_flow_bound);
+      const std::vector<double> free_flow =
+          roadnet::ReverseShortestPathTree(g, to, roadnet::FreeFlowWeight(g));
+      for (VertexId from = 0; from < g.NumVertices(); ++from) {
+        if (from == to) continue;
+        for (double factor : {0.7, 0.9, 1.1, 1.3}) {
+          // An unreachable pair gets a budget that stops most searches
+          // early, so "unreachable" rests on the components.
+          const double budget =
+              (reach[from] ? free_flow[from] : 100.0) * factor;
+          SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to) +
+                       " at " + std::to_string(factor));
+          auto with_pruners = router.Route(from, to, 8 * 3600.0, budget);
+          auto without = router.Route(from, to, 8 * 3600.0, budget, nullptr,
+                                      &plain);
+          ASSERT_EQ(with_pruners.status().ToString(),
+                    without.status().ToString());
+          if (!reach[from]) {
+            EXPECT_EQ(without.status().message(),
+                      "Route: destination unreachable");
+            ++unreachable;
+          } else if (lower[from] > budget) {
+            EXPECT_EQ(without.status().message(),
+                      "Route: budget infeasible even at free flow");
+            ++infeasible;
+          } else {
+            if (free_flow[from] > budget) ++oracle_beyond;
+            if (!without.ok()) {
+              EXPECT_EQ(without.status().message(),
+                        "Route: no path within budget found");
+              continue;
+            }
+            EXPECT_EQ(with_pruners->best_probability,
+                      without->best_probability);
+            EXPECT_TRUE(
+                roadnet::ValidatePath(g, with_pruners->best_path.edges())
+                    .ok());
+            ++routed;
+          }
+        }
+      }
+    }
+    EXPECT_GT(unreachable, 0u);
+    EXPECT_GT(infeasible, 0u);
+    EXPECT_GT(oracle_beyond, 0u);
+    EXPECT_GT(routed, 0u);
+  }
+}
+
 /// A 12-edge line v0 -> v12, every edge [10, 20) s in two buckets, with a
 /// unit variable per edge, a correlated pair variable per adjacent pair,
 /// and one all-day variable over the last `rank` edges. A part longer than
@@ -406,51 +552,64 @@ TEST_F(CityRoutingTest, EstimatorPoliciesInterchangeable) {
   }
 }
 
-TEST(ParallelRoutingTest, RootFanOutMatchesSingleThreaded) {
-  // A 4x4 grid with per-edge unit variables: the root fan-out explores
-  // the two out-edges of the corner source as independent branches; the
-  // merged result must match the single-threaded run exactly (pruning is
-  // budget-driven, so the branch partition cannot change the answer).
-  constexpr int kSide = 4;
+/// A 4x4 grid with per-edge unit variables, every edge pointing right or
+/// down: the corner source has two out-edges, so the root fan-out runs
+/// two independent branches.
+struct GridFixture {
+  static constexpr int kSide = 4;
   Graph g;
   std::vector<VertexId> v;
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      v.push_back(g.AddVertex(1000.0 * i, 1000.0 * j));
-    }
-  }
-  Rng rng(11);
-  core::WeightFunctionBuilder wp_builder{TimeBinning(30.0)};
-  auto connect = [&](VertexId a, VertexId b) {
-    const EdgeId e = g.AddEdge(a, b, 1000.0, 13.9).value();
-    const double fast = rng.Uniform(60.0, 90.0);
-    InstantiatedVariable var;
-    var.path = Path({e});
-    var.interval = core::kAllDayInterval;
-    var.joint = HistogramND::FromHistogram1D(
-        Histogram1D::Make({{fast, fast + 30.0, 0.8},
-                           {fast + 60.0, fast + 120.0, 0.2}})
-            .value());
-    var.from_speed_limit = true;
-    wp_builder.Add(std::move(var));
-  };
-  for (int i = 0; i < kSide; ++i) {
-    for (int j = 0; j < kSide; ++j) {
-      if (i + 1 < kSide) connect(v[i * kSide + j], v[(i + 1) * kSide + j]);
-      if (j + 1 < kSide) connect(v[i * kSide + j], v[i * kSide + j + 1]);
-    }
-  }
-  const PathWeightFunction wp = std::move(wp_builder).Freeze();
+  PathWeightFunction wp;
 
+  GridFixture() : wp(BuildModel()) {}
+
+ private:
+  PathWeightFunction BuildModel() {
+    for (int i = 0; i < kSide; ++i) {
+      for (int j = 0; j < kSide; ++j) {
+        v.push_back(g.AddVertex(1000.0 * i, 1000.0 * j));
+      }
+    }
+    Rng rng(11);
+    core::WeightFunctionBuilder wp_builder{TimeBinning(30.0)};
+    auto connect = [&](VertexId a, VertexId b) {
+      const EdgeId e = g.AddEdge(a, b, 1000.0, 13.9).value();
+      const double fast = rng.Uniform(60.0, 90.0);
+      InstantiatedVariable var;
+      var.path = Path({e});
+      var.interval = core::kAllDayInterval;
+      var.joint = HistogramND::FromHistogram1D(
+          Histogram1D::Make({{fast, fast + 30.0, 0.8},
+                             {fast + 60.0, fast + 120.0, 0.2}})
+              .value());
+      var.from_speed_limit = true;
+      wp_builder.Add(std::move(var));
+    };
+    for (int i = 0; i < kSide; ++i) {
+      for (int j = 0; j < kSide; ++j) {
+        if (i + 1 < kSide) connect(v[i * kSide + j], v[(i + 1) * kSide + j]);
+        if (j + 1 < kSide) connect(v[i * kSide + j], v[i * kSide + j + 1]);
+      }
+    }
+    return std::move(wp_builder).Freeze();
+  }
+};
+
+TEST(ParallelRoutingTest, RootFanOutMatchesSingleThreaded) {
+  // The merged result must match the single-threaded run exactly (pruning
+  // is budget-driven, so the branch partition cannot change the answer).
+  const GridFixture f;
   ThreadPool pool(4);
   RouterConfig parallel;
   parallel.pool = &pool;
-  const DfsStochasticRouter router_seq(g, wp, EstimateOptions());
-  const DfsStochasticRouter router_par(g, wp, EstimateOptions(), parallel);
+  const DfsStochasticRouter router_seq(f.g, f.wp, EstimateOptions());
+  const DfsStochasticRouter router_par(f.g, f.wp, EstimateOptions(), parallel);
   size_t compared = 0;
   for (double budget_s : {500.0, 700.0, 900.0, 1200.0}) {
-    auto seq = router_seq.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
-    auto par = router_par.Route(v.front(), v.back(), 8 * 3600.0, budget_s);
+    auto seq =
+        router_seq.Route(f.v.front(), f.v.back(), 8 * 3600.0, budget_s);
+    auto par =
+        router_par.Route(f.v.front(), f.v.back(), 8 * 3600.0, budget_s);
     ASSERT_EQ(seq.ok(), par.ok()) << budget_s;
     if (!seq.ok()) continue;
     EXPECT_FALSE(seq.value().truncated);
@@ -466,6 +625,44 @@ TEST(ParallelRoutingTest, RootFanOutMatchesSingleThreaded) {
     ++compared;
   }
   EXPECT_GT(compared, 0u);
+}
+
+TEST(ParallelRoutingTest, FirstRoutesOfAFreshRouterAgreeAcrossThreads) {
+  // The router computes the graph's components on its first Route: four
+  // threads that make the first calls of a fresh router at once, on its
+  // pool, must all get the sequential answer (and run clean under TSan).
+  const GridFixture f;
+  const double budget = 900.0;
+  const DfsStochasticRouter sequential(f.g, f.wp, EstimateOptions());
+  const auto want = sequential.Route(f.v.front(), f.v.back(), 8 * 3600.0,
+                                     budget);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ThreadPool pool(4);
+  RouterConfig config;
+  config.pool = &pool;
+  config.pruning.incumbent = true;
+  for (int round = 0; round < 8; ++round) {
+    const DfsStochasticRouter router(f.g, f.wp, EstimateOptions(), config);
+    constexpr int kCallers = 4;
+    std::atomic<int> ready{0};
+    std::vector<StatusOr<RouteResult>> got(
+        kCallers, Status::Internal("route not run"));
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kCallers) std::this_thread::yield();
+        got[c] = router.Route(f.v.front(), f.v.back(), 8 * 3600.0, budget);
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (int c = 0; c < kCallers; ++c) {
+      ASSERT_TRUE(got[c].ok()) << got[c].status().ToString();
+      EXPECT_EQ(got[c]->best_probability, want->best_probability);
+      EXPECT_EQ(got[c]->best_path.edges(), want->best_path.edges());
+      EXPECT_FALSE(got[c]->truncated);
+    }
+  }
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -512,8 +513,25 @@ TEST_F(ShardedServingTest, BadSpecsFailLikeTheSingleModel) {
   bad.path = PathSpec::ExplicitPath(Path());
   EXPECT_EQ(sharded->Estimate(bad).status().code(),
             StatusCode::kInvalidArgument);
-  // Nothing attaches for a request that never resolves.
+
+  // Routes the router rejects: an unknown vertex, from == to, and a
+  // budget that is not finite. Each fails exactly as on the single model.
+  auto mono = OpenOn(mono_bin_, /*use_mmap=*/false);
+  ASSERT_NE(mono, nullptr);
+  std::vector<RouteRequest> bad_routes(3, RouteRequests()[0]);
+  bad_routes[0].to = static_cast<VertexId>(graph_->NumVertices());
+  bad_routes[1].to = bad_routes[1].from;
+  bad_routes[2].budget_seconds = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < bad_routes.size(); ++i) {
+    const Status want = mono->Route(bad_routes[i]).status();
+    const Status got = sharded->Route(bad_routes[i]).status();
+    EXPECT_EQ(want.code(), StatusCode::kInvalidArgument) << "route " << i;
+    EXPECT_EQ(got.code(), want.code()) << "route " << i;
+    EXPECT_EQ(got.message(), want.message()) << "route " << i;
+  }
+  // Nothing attaches for a request that never resolves or never routes.
   EXPECT_EQ(Resident(*sharded), 0u);
+  EXPECT_EQ(sharded->stats().shard_attaches, 0u);
 }
 
 // ---------------------------------------------------------------------------
